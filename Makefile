@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race race-observability differential backend-differential repair-differential target-differential fault trace bench-json bench-check serve soak stream clean
+.PHONY: check build fmt vet vet-perfbench test race race-observability differential backend-differential repair-differential target-differential fault trace bench-json bench-check serve soak stream clean
 
-# check is the CI gate: formatting, vet, build, the full suite under the
-# race detector (the engine itself is single-threaded, but bench fan-out,
-# the service and the CLIs are not), the repair differential, and the
-# target differential.
-check: fmt vet build race repair-differential target-differential
+# check is the CI gate: formatting, vet (including the separate perfbench
+# module), build, the full suite under the race detector (speculation
+# workers, bench fan-out, the service and the CLIs all run concurrently),
+# the repair differential, and the target differential.
+check: fmt vet vet-perfbench build race repair-differential target-differential
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# vet-perfbench vets the benchmark harness, a separate module (perfbench/
+# go.mod) that root ./... patterns do not reach but that imports the
+# engine, service and simulator APIs.
+vet-perfbench:
+	$(GO) -C perfbench vet .
 
 # The glift suite explores full benchmark binaries; under the race
 # detector it outgrows go test's default 10m per-package timeout.
@@ -39,17 +45,17 @@ race-observability:
 
 # differential runs the equivalence suite under the race detector: every
 # scaffold benchmark swept over (backend, workers) configurations must
-# produce byte-identical reports, plus the table-contention stress test and
-# the seeded program fuzzer (see DESIGN.md "Parallel exploration" and
-# "Evaluation backends").
+# produce byte-identical reports, plus the worker-count cap, the
+# table-contention stress test and the seeded program fuzzer (see
+# DESIGN.md "Parallel exploration" and "Evaluation backends").
 differential:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/glift \
-		-run 'TestDifferential|TestTableContention|TestParallel|TestFuzz'
+		-run 'TestDifferential|TestWorkersCapped|TestTableContention|TestParallel|TestFuzz'
 
 # backend-differential isolates the evaluation-backend contract: the
-# randomized interpreter/compiled/bitslice equivalence tests in internal/sim
-# (including the lane-packed BatchBackend sweep), the scaffold-benchmark
-# backend sweep with bitsliced speculation lanes, and the faulted-system
+# randomized interpreter/compiled equivalence tests in internal/sim, the
+# bitsliced BatchBackend's plane-formula proof and per-lane equivalence
+# sweep, the scaffold-benchmark backend sweep, and the faulted-system
 # agreement checks (sequential and batched), all under the race detector.
 backend-differential:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/sim \
@@ -63,9 +69,10 @@ backend-differential:
 # the shared round loop and its golden wire shape, the transform property
 # corpus (mask idempotence, partition confinement, PC round-trips), every
 # scaffold benchmark through gliftd-vs-reference byte equality including the
-# workers × backend × spec-lanes knob sweep that justifies excluding those
-# knobs from the repair cache key, and the binary-level secure430-vs-daemon
-# and kill -9 recovery tests (see DESIGN.md "Repair as a service").
+# workers × backend sweep of the reference loop that justifies excluding
+# those knobs from the repair cache key, and the binary-level
+# secure430-vs-daemon and kill -9 recovery tests (see DESIGN.md "Repair as
+# a service").
 repair-differential:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/repair ./internal/transform
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/service -run 'TestRepair'

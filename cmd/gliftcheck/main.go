@@ -85,9 +85,8 @@ func main() {
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON exploration trace to this file")
 	traceN := flag.Int("taint-trace", 0, "print the first N per-cycle tainted-state entries")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON on stdout (the gliftd wire shape)")
-	workers := flag.Int("workers", 0, "engine exploration workers (0: GOMAXPROCS, 1: sequential); the report is identical either way")
+	workers := flag.Int("workers", 0, "engine exploration workers (0: GOMAXPROCS, 1: sequential, capped at GOMAXPROCS); the report is identical either way")
 	backendName := flag.String("backend", "", "gate-evaluation backend: "+backendHelp()+"; the report is byte-identical either way")
-	specLanes := flag.Int("spec-lanes", 0, "pack up to N queued paths per speculation worker onto bitsliced lanes (0 or 1: scalar, max 64); the report is identical either way")
 	verbose := flag.Bool("v", false, "print exploration statistics")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -128,7 +127,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := &glift.Options{MaxCycles: *maxCycles, SoftMemBytes: *softMem, HardMemBytes: *hardMem, Workers: *workers, Backend: backend, SpecLanes: *specLanes}
+	opts := &glift.Options{MaxCycles: *maxCycles, SoftMemBytes: *softMem, HardMemBytes: *hardMem, Workers: *workers, Backend: backend}
 	var rec *glift.TraceRecorder
 	if *traceN > 0 {
 		rec = &glift.TraceRecorder{Max: *traceN}

@@ -10,6 +10,9 @@
 // and the final report, with a round event on the job's SSE stream at every
 // round boundary. See README.md "Repair as a service".
 //
+// Every job explores sequentially on the compiled backend; the daemon's
+// parallelism is across jobs, one per -workers slot.
+//
 // Usage:
 //
 //	gliftd -addr :8430 -workers 4 -queue 64 -cache 1024 -deadline 2m \
@@ -69,7 +72,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/target"
 )
 
@@ -80,9 +82,6 @@ func main() {
 	queue := flag.Int("queue", 64, "queued-job bound (a full queue rejects with 503)")
 	cache := flag.Int("cache", 1024, "content-addressed result cache entries")
 	deadline := flag.Duration("deadline", 0, "default per-job deadline (0: none)")
-	engineWorkers := flag.Int("engine-workers", 1, "exploration workers per engine run (0: GOMAXPROCS); service workers multiply with engine workers")
-	engineBackend := flag.String("engine-backend", "", "gate-evaluation backend for jobs that do not request one: "+backendHelp())
-	engineSpecLanes := flag.Int("engine-spec-lanes", 0, "bitsliced speculation lanes per worker for jobs that do not request them (0 or 1: scalar, max 64)")
 	storeDir := flag.String("store-dir", "", "crash-safe persistent result store directory (empty: memory-only cache)")
 	storeMax := flag.Int64("store-max-bytes", 0, "persistent store byte cap, oldest evicted first (0: unbounded)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate in jobs/sec, keyed by X-Tenant (0: unlimited)")
@@ -107,11 +106,6 @@ func main() {
 	// One JSON line per event on stderr: greppable by field (job_id, tenant,
 	// verdict), machine-parseable by log shippers.
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	backend, err := sim.ParseBackend(*engineBackend)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gliftd: %v\n", err)
-		os.Exit(2)
-	}
 	if _, err := target.Parse(*targetName); err != nil {
 		fmt.Fprintf(os.Stderr, "gliftd: %v\n", err)
 		os.Exit(2)
@@ -122,9 +116,6 @@ func main() {
 		QueueDepth:         *queue,
 		CacheEntries:       *cache,
 		DefaultDeadline:    *deadline,
-		EngineWorkers:      *engineWorkers,
-		EngineBackend:      backend,
-		EngineSpecLanes:    *engineSpecLanes,
 		StoreDir:           *storeDir,
 		StoreMaxBytes:      *storeMax,
 		StoreWriteDelay:    *chaosSlowWrite,
@@ -213,11 +204,4 @@ func parseLevel(s string) (slog.Level, error) {
 		return slog.LevelError, nil
 	}
 	return 0, fmt.Errorf("unknown -log-level %q (debug, info, warn, error)", s)
-}
-
-// backendHelp renders the registered backend names for flag help, with the
-// registry's first entry marked as the default.
-func backendHelp() string {
-	names := sim.BackendNames()
-	return names[0] + " (default), " + strings.Join(names[1:], ", ")
 }

@@ -667,7 +667,7 @@ func freeAddr() (string, error) {
 // service answers every corpus program once, and those (normalized) bytes
 // are what every chaos phase must reproduce.
 func reference(progs []prog) (map[string][]byte, map[string]int, error) {
-	srv, err := service.New(service.Config{Workers: 2, QueueDepth: 64, EngineWorkers: 1})
+	srv, err := service.New(service.Config{Workers: 2, QueueDepth: 64})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -753,7 +753,7 @@ func phaseKill9(progs []prog, wantBytes map[string][]byte, wantCode map[string]i
 		return err
 	}
 	d := &daemon{bin: *gliftd, addr: addr, args: []string{
-		"-workers", "2", "-queue", "64", "-engine-workers", "1",
+		"-workers", "2", "-queue", "64",
 		"-store-dir", dir, "-chaos-slow-write", "25ms",
 	}}
 	if err := d.start(); err != nil {
@@ -904,7 +904,7 @@ func phaseDiskFull(progs []prog, wantBytes map[string][]byte, wantCode map[strin
 		return err
 	}
 	d := &daemon{bin: *gliftd, addr: addr, args: []string{
-		"-workers", "2", "-queue", "64", "-engine-workers", "1",
+		"-workers", "2", "-queue", "64",
 		"-store-dir", dir, "-store-max-bytes", "128",
 	}}
 	if err := d.start(); err != nil {
@@ -954,7 +954,7 @@ func phaseInject503(progs []prog, wantBytes map[string][]byte, wantCode map[stri
 		return err
 	}
 	d := &daemon{bin: *gliftd, addr: addr, args: []string{
-		"-workers", "2", "-queue", "64", "-engine-workers", "1",
+		"-workers", "2", "-queue", "64",
 		"-chaos-inject-503", "40",
 	}}
 	if err := d.start(); err != nil {

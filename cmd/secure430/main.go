@@ -64,9 +64,8 @@ func main() {
 	rounds := flag.Int("rounds", 8, "maximum analyze/repair rounds")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON trace covering all rounds to this file")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for all rounds together (0: none); expiry exits 3")
-	workers := flag.Int("workers", 0, "engine exploration workers per round (0: GOMAXPROCS, 1: sequential); the report is identical either way")
+	workers := flag.Int("workers", 0, "engine exploration workers per round (0: GOMAXPROCS, 1: sequential, capped at GOMAXPROCS); the report is identical either way")
 	backendName := flag.String("backend", "", "gate-evaluation backend: "+backendHelp()+"; the report is byte-identical either way")
-	specLanes := flag.Int("spec-lanes", 0, "pack up to N queued paths per speculation worker onto bitsliced lanes (0 or 1: scalar, max 64); the report is identical either way")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: secure430 [flags] app.s43 (see -help)")
@@ -127,7 +126,7 @@ func main() {
 		fatal(err)
 	}
 	var xt *obs.ExplorationTrace
-	opts := &glift.Options{Workers: *workers, Backend: backend, SpecLanes: *specLanes}
+	opts := &glift.Options{Workers: *workers, Backend: backend}
 	if *traceFile != "" {
 		xt = obs.NewExplorationTrace(0)
 		opts.Tracer = xt.Record

@@ -43,17 +43,13 @@ func violationSet(rep *glift.Report) []string {
 	return out
 }
 
-// analysisConfig is one point in the (backend, workers, spec-lanes) sweep.
+// analysisConfig is one point in the (backend, workers) sweep.
 type analysisConfig struct {
 	backend sim.BackendKind
 	workers int
-	lanes   int
 }
 
 func (c analysisConfig) String() string {
-	if c.lanes > 0 {
-		return fmt.Sprintf("%s/workers=%d/lanes=%d", c.backend, c.workers, c.lanes)
-	}
 	return fmt.Sprintf("%s/workers=%d", c.backend, c.workers)
 }
 
@@ -62,20 +58,16 @@ func (c analysisConfig) String() string {
 var refConfig = analysisConfig{backend: sim.BackendInterp, workers: 1}
 
 // sweepConfigs are the configurations compared against refConfig: the
-// parallel interpreter, the compiled backend at both worker counts, the
-// bitsliced backend, and lane-packed speculation.
+// parallel interpreter and the compiled backend at both worker counts.
 var sweepConfigs = []analysisConfig{
 	{backend: sim.BackendInterp, workers: 4},
 	{backend: sim.BackendCompiled, workers: 1},
 	{backend: sim.BackendCompiled, workers: 4},
-	{backend: sim.BackendBitslice, workers: 1},
-	{backend: sim.BackendCompiled, workers: 4, lanes: 64},
-	{backend: sim.BackendBitslice, workers: 4, lanes: 8},
 }
 
 func analyzeConfig(t *testing.T, bt *bench.Built, c analysisConfig) *glift.Report {
 	t.Helper()
-	rep, err := glift.Analyze(bt.Img, bt.Policy, &glift.Options{Workers: c.workers, Backend: c.backend, SpecLanes: c.lanes})
+	rep, err := glift.Analyze(bt.Img, bt.Policy, &glift.Options{Workers: c.workers, Backend: c.backend})
 	if err != nil {
 		t.Fatalf("analyze %s (%s): %v", bt.Bench.Name, c, err)
 	}
@@ -140,27 +132,6 @@ func TestDifferentialWorkerSweep(t *testing.T) {
 	for _, be := range sim.Backends() {
 		for _, w := range []int{2, 3, 8} {
 			c := analysisConfig{backend: be, workers: w}
-			got := normalizedReportJSON(t, analyzeConfig(t, bt, c))
-			if string(got) != string(want) {
-				t.Errorf("%s report differs from %s:\n%s\nvs\n%s", c, refConfig, got, want)
-			}
-		}
-	}
-}
-
-// TestDifferentialSpecLanes sweeps lane-packed speculation widths on a
-// fork-heavy benchmark: every (workers, SpecLanes) combination must produce
-// the reference report byte-identically, including ragged widths and lanes
-// exceeding the path count.
-func TestDifferentialSpecLanes(t *testing.T) {
-	bt, err := bench.BuildUnmodified(bench.ByName("binSearch"))
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	want := normalizedReportJSON(t, analyzeConfig(t, bt, refConfig))
-	for _, lanes := range []int{2, 7, 64} {
-		for _, w := range []int{2, 4} {
-			c := analysisConfig{backend: sim.BackendCompiled, workers: w, lanes: lanes}
 			got := normalizedReportJSON(t, analyzeConfig(t, bt, c))
 			if string(got) != string(want) {
 				t.Errorf("%s report differs from %s:\n%s\nvs\n%s", c, refConfig, got, want)

@@ -24,7 +24,9 @@ type Options struct {
 	// MaxCycles bounds total simulated cycles (0: default 4M).
 	MaxCycles uint64
 	// Workers is the number of exploration workers (0: default GOMAXPROCS;
-	// 1: strictly sequential, the pre-parallel behavior). Additional workers
+	// 1: strictly sequential, the pre-parallel behavior; larger values are
+	// capped at GOMAXPROCS, so a caller cannot start goroutines no memory
+	// budget accounts for). Additional workers
 	// speculatively simulate queued path states on private mcu.System
 	// instances while a single committer replays their recorded traces
 	// through the conservative state table in exact sequential order, so a
@@ -42,16 +44,6 @@ type Options struct {
 	// time and is excluded from Normalized() and content-addressed job
 	// keys.
 	Backend sim.BackendKind
-	// SpecLanes packs queued path states into word-parallel speculation
-	// batches: each speculation worker claims up to SpecLanes states and
-	// simulates them in lockstep on one bitsliced sim.BatchBackend, one
-	// state per lane, instead of one at a time (0 or 1: scalar speculation;
-	// capped at sim.BatchLanes). Lanes that hit a fork retire with a
-	// truncated trace, which the committer finishes live — the standard
-	// truncation path — so like Workers and Backend this changes only wall
-	// time, never the report, and is excluded from Normalized() and
-	// content-addressed job keys. Ignored for sequential runs (Workers 1).
-	SpecLanes int
 	// MaxPathCycles bounds cycles on one path segment without a merge point
 	// (0: default 200k) — a straight-line runaway guard.
 	MaxPathCycles uint64
@@ -112,17 +104,16 @@ func (o *Options) withDefaults() Options {
 
 // Normalized returns the options with every default applied — the canonical
 // form used for content-addressed job keys, so an explicitly spelled-out
-// default and an omitted field hash identically. The callback fields do not
-// participate in normalization, and Workers and Backend are zeroed: neither
-// the worker count nor the evaluation backend can change the report (the
-// parallel mode's determinism guarantee and the backend differential
-// guarantee), so submissions differing only in them must share one cache
-// entry.
+// default and an omitted field hash identically. The callback fields are
+// copied unchanged, Workers is zeroed and Backend is reset to the compiled
+// default: neither the worker count nor the evaluation backend can change
+// the report (the speculate-and-commit determinism guarantee and the
+// backend differential guarantee), so options differing only in them
+// normalize equal.
 func (o *Options) Normalized() Options {
 	out := o.withDefaults()
 	out.Workers = 0
 	out.Backend = sim.BackendCompiled
-	out.SpecLanes = 0
 	return out
 }
 
@@ -195,9 +186,6 @@ type Engine struct {
 	// snapBytes is the approximate footprint of one machine snapshot, the
 	// unit of the memory accounting.
 	snapBytes int64
-
-	// debugMerge, when set, observes every superstate widening.
-	debugMerge func(k forkKey, c *mcu.Snapshot)
 }
 
 // CurInstr returns the instruction address currently executing (diagnostics).
@@ -205,14 +193,6 @@ func (e *Engine) CurInstr() uint16 { return e.curInstr }
 
 // SetTrace installs a per-cycle observer after construction.
 func (e *Engine) SetTrace(f func(e *Engine, ci *mcu.CycleInfo)) { e.opt.Trace = f }
-
-// DebugMerge installs a widening observer (diagnostics; reports the key and
-// the merged PC rendering).
-func (e *Engine) DebugMerge(f func(pc uint16, dir uint8, pcWord string)) {
-	e.debugMerge = func(k forkKey, c *mcu.Snapshot) {
-		f(k.pc, k.dir, e.Sys.SnapshotPC(c).String())
-	}
-}
 
 // NewEngine prepares a system for analysis: program loaded, policy taints
 // applied (tainted code partitions, initially tainted data, tainted ports).
@@ -330,11 +310,10 @@ func (e *Engine) RunContext(ctx context.Context) (rep *Report) {
 	}()
 
 	if w := e.workerCount(); w > 1 {
+		// The stopped pool stays attached so the final (Done) progress
+		// snapshot still reports its scheduler counters.
 		e.pool = newSpecPool(e, w-1)
-		defer func() {
-			e.pool.stop()
-			e.pool = nil
-		}()
+		defer e.pool.stop()
 	}
 
 	e.Sys.PowerOn()
@@ -389,14 +368,16 @@ func (e *Engine) RunContext(ctx context.Context) (rep *Report) {
 // sinceStart is wall time since RunContext started.
 func (e *Engine) sinceStart() time.Duration { return time.Since(e.runStart) }
 
-// workerCount resolves Options.Workers: 0 means GOMAXPROCS, and a per-cycle
-// Trace hook forces sequential exploration — the hook contract is to observe
-// the live simulation of every committed cycle in order, which speculative
+// workerCount resolves Options.Workers: 0 means GOMAXPROCS, larger counts
+// are capped at GOMAXPROCS (more goroutines than processors only add
+// private systems the memory budgets never see), and a per-cycle Trace hook
+// forces sequential exploration — the hook contract is to observe the live
+// simulation of every committed cycle in order, which speculative
 // re-execution cannot honor.
 func (e *Engine) workerCount() int {
 	w := e.opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if max := runtime.GOMAXPROCS(0); w <= 0 || w > max {
+		w = max
 	}
 	if e.opt.Trace != nil {
 		w = 1
@@ -581,9 +562,6 @@ func (e *Engine) tableApply(k forkKey, post *mcu.Snapshot) (tableOutcome, *mcu.S
 		c.snap.MergeFrom(post)
 		e.report.Stats.Merges++
 		e.traceEvent(EvMerge, k.pc, len(e.table), "")
-		if e.debugMerge != nil {
-			e.debugMerge(k, c.snap)
-		}
 		return tableWidened, c.snap
 	}
 	e.table[k] = &tableEntry{snap: post.Clone(), visits: 1}
@@ -770,23 +748,13 @@ func (e *Engine) violation(k Kind, pc uint16, detail string) {
 
 // ---- Per-cycle policy checking (Section 4.2 / 5.1) ----
 
-// machineView is the read-only probe surface the per-cycle policy checks
-// need from a simulation instance. *mcu.System implements it directly;
-// mcu.LaneView adapts one lane of a batched (bitsliced) system, so the same
-// checker runs unchanged on scalar and lane-packed speculation.
-type machineView interface {
-	Design() *mcu.Design
-	GetWord(nets []netlist.NetID) sim.Word
-	GetSig(id netlist.NetID) logic.Sig
-}
-
 // anyTainted scans a probe word bit by bit. Unlike GetWord(...).Tainted()
 // it is width-safe: GetWord packs into a 16-bit sim.Word and silently
 // drops bits 16 and up, which would make the scan unsound for a target
 // with registers wider than 16 bits (identical behaviour at width <= 16).
-func anyTainted(v machineView, nets []netlist.NetID) bool {
+func anyTainted(sys *mcu.System, nets []netlist.NetID) bool {
 	for _, id := range nets {
-		if v.GetSig(id).T {
+		if sys.GetSig(id).T {
 			return true
 		}
 	}
@@ -798,7 +766,7 @@ func anyTainted(v machineView, nets []netlist.NetID) bool {
 // live engine raises into its report; speculation workers record raises
 // into their segment trace for deterministic replay.
 type cycleChecker struct {
-	sys      machineView
+	sys      *mcu.System
 	pol      *Policy
 	ramRange AddrRange
 	raise    func(k Kind, pc uint16, detail string)
@@ -829,7 +797,7 @@ func (c *cycleChecker) check(ci *mcu.CycleInfo, curInstr uint16) {
 
 	// Watchdog integrity: the untainted-reset mechanism is sound only while
 	// the watchdog's state and write strobe stay untainted (Section 5.2).
-	d := c.sys.Design()
+	d := c.sys.D
 	if c.sys.GetSig(d.WdtWe).T ||
 		anyTainted(c.sys, d.WdtCtl) ||
 		anyTainted(c.sys, d.WdtCnt) {
@@ -854,7 +822,7 @@ func (c *cycleChecker) check(ci *mcu.CycleInfo, curInstr uint16) {
 // else can observe them), so residual taint there cannot influence a later
 // task — see DESIGN.md.
 func (c *cycleChecker) coreStateTainted() (string, bool) {
-	d := c.sys.Design()
+	d := c.sys.D
 	named := []struct {
 		name string
 		w    []netlist.NetID
@@ -888,7 +856,7 @@ func (c *cycleChecker) checkLoad(ci *mcu.CycleInfo, curInstr uint16, taintedTask
 		if c.pol.InTaintedData(a) {
 			c.raise(C3LoadTainted, curInstr, fmt.Sprintf("untainted code loads from tainted partition address %#04x", a))
 		}
-		if i, ok := portInIndex(c.sys.Design(), a); ok && c.pol.TaintedInPort(i) {
+		if i, ok := portInIndex(c.sys.D, a); ok && c.pol.TaintedInPort(i) {
 			c.raise(C4ReadTaintedPort, curInstr, fmt.Sprintf("untainted code reads tainted input port P%d", i+1))
 		}
 		return
@@ -901,7 +869,7 @@ func (c *cycleChecker) checkLoad(ci *mcu.CycleInfo, curInstr uint16, taintedTask
 		}
 	}
 	for i := 0; i < mcu.NumPorts; i++ {
-		if c.pol.TaintedInPort(i) && matchesPattern(c.sys.Design().Map.PortIn[i], free, addr.Val) {
+		if c.pol.TaintedInPort(i) && matchesPattern(c.sys.D.Map.PortIn[i], free, addr.Val) {
 			c.raise(C4ReadTaintedPort, curInstr, "unknown load address may reach a tainted input port")
 			break
 		}
@@ -909,7 +877,7 @@ func (c *cycleChecker) checkLoad(ci *mcu.CycleInfo, curInstr uint16, taintedTask
 }
 
 func (c *cycleChecker) checkStore(ci *mcu.CycleInfo, curInstr uint16, taintedTask bool) {
-	d := c.sys.Design()
+	d := c.sys.D
 	addr, data := ci.Addr, ci.WData
 	free := addr.XM | addr.TT
 	taintsTarget := data.Tainted() || addr.TT != 0 || ci.We.T

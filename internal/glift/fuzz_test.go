@@ -134,17 +134,13 @@ func genProgram(r *rand.Rand) string {
 	return sb.String()
 }
 
-// fuzzConfig is one point in the (backend, workers, spec-lanes) sweep.
+// fuzzConfig is one point in the (backend, workers) sweep.
 type fuzzConfig struct {
 	backend sim.BackendKind
 	workers int
-	lanes   int
 }
 
 func (c fuzzConfig) String() string {
-	if c.lanes > 0 {
-		return fmt.Sprintf("%s/workers=%d/lanes=%d", c.backend, c.workers, c.lanes)
-	}
 	return fmt.Sprintf("%s/workers=%d", c.backend, c.workers)
 }
 
@@ -156,8 +152,6 @@ var (
 		{backend: sim.BackendInterp, workers: 4},
 		{backend: sim.BackendCompiled, workers: 1},
 		{backend: sim.BackendCompiled, workers: 4},
-		{backend: sim.BackendBitslice, workers: 1},
-		{backend: sim.BackendCompiled, workers: 4, lanes: 64},
 	}
 )
 
@@ -167,7 +161,6 @@ func fuzzOptions(c fuzzConfig) *Options {
 	return &Options{
 		Workers:       c.workers,
 		Backend:       c.backend,
-		SpecLanes:     c.lanes,
 		MaxCycles:     40_000,
 		MaxPathCycles: 4_000,
 		WidenAfter:    16,

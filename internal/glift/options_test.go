@@ -1,6 +1,10 @@
 package glift
 
-import "testing"
+import (
+	"encoding/json"
+	"runtime"
+	"testing"
+)
 
 // TestCycleBudgetExhaustion: a tiny budget must surface AnalysisIncomplete
 // rather than silently truncating coverage.
@@ -117,5 +121,45 @@ tend:   nop
 	}
 	if !hasKind(rep, C1TaintedState) {
 		t.Fatalf("the yield must not launder PC taint: %v", rep.Violations)
+	}
+}
+
+// TestWorkersCappedAtGOMAXPROCS: a worker count far beyond the processor
+// count starts no more speculation goroutines than GOMAXPROCS allows, and
+// the report is byte-identical to the sequential one.
+func TestWorkersCappedAtGOMAXPROCS(t *testing.T) {
+	img := mustImage(t, `
+start:  mov &0x0020, r5
+        and #7, r5
+loop:   dec r5
+        jnz loop
+        mov r5, &0x002a
+done:   jmp done
+`)
+	pol := &Policy{Name: "integrity", TaintedInPorts: []int{0}}
+	run := func(workers int) ([]byte, Progress) {
+		var last Progress
+		rep, err := Analyze(img, pol, &Options{Workers: workers, Progress: func(p Progress) { last = p }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := rep.JSON()
+		j.Stats.WallNanos = 0
+		out, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, last
+	}
+	want, _ := run(1)
+	got, last := run(1 << 20)
+	if string(got) != string(want) {
+		t.Errorf("Workers=1<<20 report differs from Workers=1:\n%s\nvs\n%s", got, want)
+	}
+	if !last.Done {
+		t.Fatalf("last progress snapshot is not the Done emission: %+v", last)
+	}
+	if w, max := last.Sched.Workers, runtime.GOMAXPROCS(0)-1; w != max {
+		t.Errorf("final Sched.Workers = %d, want GOMAXPROCS-1 = %d", w, max)
 	}
 }

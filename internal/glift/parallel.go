@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/mcu"
-	"repro/internal/sim"
 )
 
 // Parallel exploration.
@@ -62,17 +61,6 @@ type SchedStats struct {
 	// SpecWasted counts speculated segments discarded before use (the
 	// committer reached the item first, or the run ended).
 	SpecWasted uint64
-	// SpecLanes is the configured lane count per speculation batch
-	// (0: scalar speculation).
-	SpecLanes int
-	// LaneBatches counts lockstep batches started by lane-packed workers.
-	LaneBatches uint64
-	// LanesPacked counts path states packed into those batches; divided by
-	// LaneBatches*SpecLanes it is the lane occupancy.
-	LanesPacked uint64
-	// LanesWasted counts packed lanes abandoned before their trace was
-	// published (committer reached the item mid-flight, or the run ended).
-	LanesWasted uint64
 }
 
 // specItem states. An item moves specPending → specClaimed → specDone as a
@@ -160,9 +148,6 @@ const maxSpecOps = 4096
 type specPool struct {
 	e       *Engine
 	workers int
-	// lanes is the per-worker lockstep batch width (Options.SpecLanes
-	// resolved; 1 means scalar speculation on private mcu.Systems).
-	lanes int
 	// budget bounds the snapshot bytes retained by not-yet-replayed traces
 	// across all workers (the atomic footprint counter for speculation).
 	// Crossing it only truncates new traces — it never aborts anything, so
@@ -178,14 +163,11 @@ type specPool struct {
 	wg   sync.WaitGroup
 	done atomic.Bool
 
-	busy        atomic.Int64
-	steals      atomic.Uint64
-	used        atomic.Uint64
-	wasted      atomic.Uint64
-	specBytes   atomic.Int64
-	laneBatches atomic.Uint64
-	lanesPacked atomic.Uint64
-	lanesWasted atomic.Uint64
+	busy      atomic.Int64
+	steals    atomic.Uint64
+	used      atomic.Uint64
+	wasted    atomic.Uint64
+	specBytes atomic.Int64
 }
 
 func newSpecPool(e *Engine, workers int) *specPool {
@@ -193,17 +175,9 @@ func newSpecPool(e *Engine, workers int) *specPool {
 	if e.opt.SoftMemBytes > 0 {
 		budget = e.opt.SoftMemBytes
 	}
-	lanes := e.opt.SpecLanes
-	if lanes > sim.BatchLanes {
-		lanes = sim.BatchLanes
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
 	p := &specPool{
 		e:       e,
 		workers: workers,
-		lanes:   lanes,
 		budget:  budget,
 		items:   make(map[uint64]*specItem),
 	}
@@ -276,21 +250,13 @@ func (p *specPool) sched() SchedStats {
 		}
 	}
 	p.mu.Unlock()
-	lanes := 0
-	if p.lanes > 1 {
-		lanes = p.lanes
-	}
 	return SchedStats{
-		Workers:     p.workers,
-		Busy:        int(p.busy.Load()),
-		DequeDepth:  depth,
-		Steals:      p.steals.Load(),
-		SpecUsed:    p.used.Load(),
-		SpecWasted:  p.wasted.Load(),
-		SpecLanes:   lanes,
-		LaneBatches: p.laneBatches.Load(),
-		LanesPacked: p.lanesPacked.Load(),
-		LanesWasted: p.lanesWasted.Load(),
+		Workers:    p.workers,
+		Busy:       int(p.busy.Load()),
+		DequeDepth: depth,
+		Steals:     p.steals.Load(),
+		SpecUsed:   p.used.Load(),
+		SpecWasted: p.wasted.Load(),
 	}
 }
 
@@ -316,14 +282,9 @@ func (p *specPool) next() *specItem {
 	}
 }
 
-// worker is one speculation goroutine: claim, simulate, publish. With
-// SpecLanes > 1 it runs the lane-packed variant (speclanes.go) instead.
+// worker is one speculation goroutine: claim, simulate, publish.
 func (p *specPool) worker() {
 	defer p.wg.Done()
-	if p.lanes > 1 {
-		p.batchWorker()
-		return
-	}
 	var sys *mcu.System
 	for {
 		it := p.next()

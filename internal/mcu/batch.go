@@ -19,7 +19,7 @@ import (
 //
 // The behavioural memory semantics are shared with System via memIO, so a
 // lane is cycle-exact against a scalar System fed the same stimulus — the
-// property the batched fault campaign and lane-packed speculation rest on.
+// property the batched fault campaign rests on.
 type BatchSystem struct {
 	D *Design
 	B *sim.BatchBackend
@@ -94,16 +94,6 @@ func (b *BatchSystem) LaneROM(lane int) *sim.TaintMem { return b.rom[lane] }
 // LaneRAM returns one lane's data memory.
 func (b *BatchSystem) LaneRAM(lane int) *sim.TaintMem { return b.ram[lane] }
 
-// ShareROM points every lane at the same program memory, for workloads
-// where all lanes run one image (lane-packed speculation). The caller must
-// not mutate it while lanes are running.
-func (b *BatchSystem) ShareROM(rom *sim.TaintMem) {
-	for lane := 0; lane < b.lanes; lane++ {
-		b.rom[lane] = rom
-		b.mem[lane].rom = rom
-	}
-}
-
 // SetLanePortIn presents a value on one lane's input port i. The value
 // persists across cycles (and power-on) until changed.
 func (b *BatchSystem) SetLanePortIn(lane, i int, w sim.Word) {
@@ -119,16 +109,6 @@ func (b *BatchSystem) LaneEvents(lane int) []string {
 	e := b.events[lane]
 	b.events[lane] = nil
 	return e
-}
-
-// LaneWord assembles a probe word from one lane (valid after EvalCycle).
-func (b *BatchSystem) LaneWord(lane int, nets []netlist.NetID) sim.Word {
-	return b.B.GetLaneWord(lane, nets)
-}
-
-// LaneSig reads one net on one lane (valid after EvalCycle).
-func (b *BatchSystem) LaneSig(lane int, id netlist.NetID) logic.Sig {
-	return b.B.GetLane(lane, id)
 }
 
 // applyPorts drives every lane's port-input nets. Port inputs are
@@ -237,36 +217,3 @@ func (b *BatchSystem) PowerOn() {
 		b.rst[lane] = logic.Zero0
 	}
 }
-
-// SnapshotLane captures one lane's machine state (flip-flops + data
-// memory), interchangeable with System snapshots.
-func (b *BatchSystem) SnapshotLane(lane int) *Snapshot {
-	return &Snapshot{DFF: b.B.LaneDFFState(lane), RAM: b.ram[lane].Snapshot()}
-}
-
-// RestoreLane reinstates a snapshot into one lane. The next EvalCycle
-// re-settles the combinational logic.
-func (b *BatchSystem) RestoreLane(lane int, sn *Snapshot) {
-	b.B.RestoreLaneDFFState(lane, sn.DFF)
-	b.ram[lane].Restore(sn.RAM)
-}
-
-// LaneView adapts one lane to the scalar probe interface (Design, GetWord,
-// GetSig) shared with *System, so per-cycle policy checks run unchanged on
-// batched lanes.
-type LaneView struct {
-	b    *BatchSystem
-	lane int
-}
-
-// Lane returns the scalar probe view of one lane.
-func (b *BatchSystem) Lane(lane int) LaneView { return LaneView{b: b, lane: lane} }
-
-// Design returns the shared machine design.
-func (v LaneView) Design() *Design { return v.b.D }
-
-// GetWord assembles a probe word from the lane (valid after EvalCycle).
-func (v LaneView) GetWord(nets []netlist.NetID) sim.Word { return v.b.B.GetLaneWord(v.lane, nets) }
-
-// GetSig reads one net on the lane (valid after EvalCycle).
-func (v LaneView) GetSig(id netlist.NetID) logic.Sig { return v.b.B.GetLane(v.lane, id) }

@@ -351,7 +351,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j.tgt = tgt
 	j.img, j.pol, j.opt, j.deadline = img, pol, *opt, deadline
 	j.mode, j.rspec = mode, rspec
-	j.backendSet = req.Options.Backend != ""
 	j.tenant = tenantOf(r)
 	j.streamTrace = req.Options.StreamTrace
 	j.enqueued = time.Now()

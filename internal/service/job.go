@@ -12,7 +12,6 @@ import (
 	"repro/internal/glift"
 	"repro/internal/mcu"
 	"repro/internal/repair"
-	"repro/internal/sim"
 	"repro/internal/target"
 )
 
@@ -46,17 +45,14 @@ type job struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	done     chan struct{}
-	// backendSet records whether the submission named a backend explicitly;
-	// if not, the server's Config.EngineBackend applies at run time.
-	backendSet bool
 	// tenant is the submitting X-Tenant value, carried for structured logs.
 	tenant string
 	// enqueued is when the job entered the worker queue (the start of its
 	// queue-wait span).
 	enqueued time.Time
 	// streamTrace > 0 publishes every streamTrace-th engine exploration
-	// event to the job's event stream (opt-in sampling; 0 disables). Like
-	// Workers it never affects results, so it is not part of the job key.
+	// event to the job's event stream (opt-in sampling; 0 disables). It
+	// never affects results, so it is not part of the job key.
 	streamTrace int
 	// mode selects the execution path (modeAnalyze or modeRepair); repair
 	// jobs carry their spec in rspec instead of img/pol.
@@ -135,28 +131,10 @@ type OptionsRequest struct {
 	SoftMemBytes  int64  `json:"soft_mem_bytes,omitempty"`
 	HardMemBytes  int64  `json:"hard_mem_bytes,omitempty"`
 	DeadlineMS    int64  `json:"deadline_ms,omitempty"`
-	// Workers selects the engine's exploration worker count for this job
-	// (0: the server's Config.EngineWorkers, then the engine default).
-	// Reports are identical for every worker count, so this field does not
-	// participate in the job's cache key.
-	Workers int `json:"workers,omitempty"`
-	// Backend selects the gate-evaluation backend for this job by its
-	// registered name — "compiled", "interp", or "bitslice" (empty: the
-	// server's Config.EngineBackend, then the compiled default). Reports
-	// are byte-identical across backends, so like Workers this field does
-	// not participate in the job's cache key.
-	Backend string `json:"backend,omitempty"`
-	// SpecLanes packs up to N queued exploration paths per speculation
-	// worker onto bitsliced lanes (0 or 1: scalar speculation, max 64;
-	// 0 falls back to the server's Config.EngineSpecLanes). Like Workers
-	// it only changes wall time, never the report, so it does not
-	// participate in the job's cache key.
-	SpecLanes int `json:"spec_lanes,omitempty"`
 	// StreamTrace opts this job into engine trace streaming: every N-th
 	// exploration event (1: all of them) is published as a `trace` event
 	// on GET /jobs/{id}/events. Tracing observes the run without changing
-	// the report, so like Workers it does not participate in the job's
-	// cache key — a traced submission may coalesce onto an untraced
+	// the report, so it does not participate in the job's cache key — a traced submission may coalesce onto an untraced
 	// execution, in which case no trace events flow (0: off).
 	StreamTrace int `json:"stream_trace,omitempty"`
 }
@@ -186,9 +164,8 @@ type RepairRequest struct {
 // runs the analyze→mask→re-verify loop instead of a single analysis.
 type JobRequest struct {
 	// Target selects the processor target by registered name (empty:
-	// msp430, preserving the pre-target schema). Unlike the wall-time
-	// knobs (workers/backend/spec_lanes), the target changes the analyzed
-	// system, so it IS part of the content-addressed job key: identical
+	// msp430, preserving the pre-target schema). The target changes the
+	// analyzed system, so it is part of the content-addressed job key: identical
 	// programs submitted against different targets never coalesce and
 	// never share cache entries.
 	Target string `json:"target,omitempty"`
@@ -293,30 +270,19 @@ func compilePolicy(pr *PolicyRequest) (*glift.Policy, error) {
 }
 
 // compileOptions turns the wire options into validated engine options and
-// the job deadline.
+// the job deadline. Every job explores sequentially on the compiled
+// backend: jobs already run in parallel across the server's worker pool.
 func compileOptions(or *OptionsRequest) (*glift.Options, time.Duration, error) {
-	backend, err := sim.ParseBackend(or.Backend)
-	if err != nil {
-		return nil, 0, err
-	}
 	opt := &glift.Options{
 		MaxCycles:     or.MaxCycles,
 		MaxPathCycles: or.MaxPathCycles,
 		WidenAfter:    or.WidenAfter,
 		SoftMemBytes:  or.SoftMemBytes,
 		HardMemBytes:  or.HardMemBytes,
-		Workers:       or.Workers,
-		Backend:       backend,
-		SpecLanes:     or.SpecLanes,
+		Workers:       1,
 	}
 	if or.DeadlineMS < 0 {
 		return nil, 0, fmt.Errorf("negative deadline_ms")
-	}
-	if or.Workers < 0 {
-		return nil, 0, fmt.Errorf("negative workers")
-	}
-	if or.SpecLanes < 0 {
-		return nil, 0, fmt.Errorf("negative spec_lanes")
 	}
 	if or.StreamTrace < 0 {
 		return nil, 0, fmt.Errorf("negative stream_trace")

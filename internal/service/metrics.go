@@ -68,17 +68,6 @@ type promMetrics struct {
 	engTableStates  *obs.Gauge
 	engPeakMem      *obs.Gauge
 	engCyclesPerSec *obs.Gauge
-
-	engSpecBusy   *obs.Gauge
-	engDequeDepth *obs.Gauge
-	engSteals     *obs.Counter
-	engSpecUsed   *obs.Counter
-	engSpecWasted *obs.Counter
-
-	engLaneBatches *obs.Counter
-	engLanesPacked *obs.Counter
-	engLanesWasted *obs.Counter
-	engLaneOccup   *obs.Gauge
 }
 
 func newPromMetrics(workers int) *promMetrics {
@@ -167,24 +156,6 @@ func newPromMetrics(workers int) *promMetrics {
 			"Largest approximate table-plus-worklist footprint any single run has reached."),
 		engCyclesPerSec: reg.Gauge("glift_engine_cycles_per_second",
 			"Exploration throughput over the most recent progress interval."),
-		engSpecBusy: reg.Gauge("glift_engine_spec_workers_busy",
-			"Speculation workers currently simulating a path segment, across running explorations."),
-		engDequeDepth: reg.Gauge("glift_engine_deque_depth",
-			"Queued path states not yet claimed by a speculation worker, across running explorations."),
-		engSteals: reg.Counter("glift_engine_steals_total",
-			"Path states claimed by speculation workers."),
-		engSpecUsed: reg.Counter("glift_engine_spec_used_total",
-			"Speculated traces replayed by the committer."),
-		engSpecWasted: reg.Counter("glift_engine_spec_wasted_total",
-			"Speculated segments discarded before use."),
-		engLaneBatches: reg.Counter("glift_engine_lane_batches_total",
-			"Bitsliced speculation batches evaluated (one batch packs up to spec-lanes paths)."),
-		engLanesPacked: reg.Counter("glift_engine_lanes_packed_total",
-			"Path states packed onto bitsliced speculation lanes."),
-		engLanesWasted: reg.Counter("glift_engine_lanes_wasted_total",
-			"Bitsliced speculation lanes left idle because fewer paths were queued than lanes available."),
-		engLaneOccup: reg.Gauge("glift_engine_lane_occupancy",
-			"Fraction of available bitsliced speculation lanes carrying a path over the most recent progress interval (0 when scalar)."),
 	}
 	m.workers.Set(float64(workers))
 	return m
@@ -195,19 +166,16 @@ func newPromMetrics(workers int) *promMetrics {
 // so concurrent jobs aggregate correctly. It runs on the job's worker
 // goroutine and forwards every snapshot to the job's own sink.
 type engineProgress struct {
-	m         *promMetrics
-	next      func(glift.Progress)
-	prev      glift.Stats
-	prevSched glift.SchedStats
+	m    *promMetrics
+	next func(glift.Progress)
+	prev glift.Stats
 }
 
 // counterDelta clamps a cumulative-feed delta at zero. Registry counters
-// panic on negative additions, and the cumulative values observed here are
-// not guaranteed monotone: with parallel exploration a snapshot can carry a
-// wall-clock or scheduler reading that interleaves against the previous
-// one, and the final Done emission is taken after the speculation pool has
-// been torn down. A clamped interval under-counts briefly and catches up on
-// the next snapshot; a negative one would take the whole exporter down.
+// panic on negative additions, so a feed that ever reports a smaller
+// cumulative value than before (an observer reused across runs, say) must
+// under-count briefly and catch up on the next snapshot rather than take
+// the whole exporter down.
 func counterDelta[T int | int64 | uint64](cur, prev T) float64 {
 	if cur <= prev {
 		return 0
@@ -230,28 +198,10 @@ func (ep *engineProgress) observe(p glift.Progress) {
 	}
 	ep.prev = s
 
-	sc := p.Sched
-	m.engSpecBusy.Add(float64(sc.Busy - ep.prevSched.Busy))
-	m.engDequeDepth.Add(float64(sc.DequeDepth - ep.prevSched.DequeDepth))
-	m.engSteals.Add(counterDelta(sc.Steals, ep.prevSched.Steals))
-	m.engSpecUsed.Add(counterDelta(sc.SpecUsed, ep.prevSched.SpecUsed))
-	m.engSpecWasted.Add(counterDelta(sc.SpecWasted, ep.prevSched.SpecWasted))
-	m.engLaneBatches.Add(counterDelta(sc.LaneBatches, ep.prevSched.LaneBatches))
-	m.engLanesPacked.Add(counterDelta(sc.LanesPacked, ep.prevSched.LanesPacked))
-	m.engLanesWasted.Add(counterDelta(sc.LanesWasted, ep.prevSched.LanesWasted))
-	if db := sc.LaneBatches - ep.prevSched.LaneBatches; db > 0 && sc.SpecLanes > 1 {
-		dp := sc.LanesPacked - ep.prevSched.LanesPacked
-		m.engLaneOccup.Set(float64(dp) / float64(db*uint64(sc.SpecLanes)))
-	}
-	ep.prevSched = sc
-
 	if p.Done {
-		// The run's state table and scheduler are released with the engine;
-		// remove their contribution so the gauges track live explorations
-		// only.
+		// The run's state table is released with the engine; remove its
+		// contribution so the gauge tracks live explorations only.
 		m.engTableStates.Add(-float64(s.TableStates))
-		m.engSpecBusy.Add(-float64(sc.Busy))
-		m.engDequeDepth.Add(-float64(sc.DequeDepth))
 	}
 	if ep.next != nil {
 		ep.next(p)

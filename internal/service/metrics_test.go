@@ -84,17 +84,6 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		t.Errorf("unbounded route label: %q", body)
 	}
 
-	// The parallel-exploration scheduler series exist even when the engine
-	// ran sequentially (zero-valued), so dashboards never see gaps.
-	for _, series := range []string{
-		"glift_engine_spec_workers_busy", "glift_engine_deque_depth",
-		"glift_engine_steals_total",
-	} {
-		if !strings.Contains(body, series) {
-			t.Errorf("/metrics missing scheduler series %q", series)
-		}
-	}
-
 	resp, body = c.get("/metrics", "application/json")
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Accept: application/json got Content-Type %q", ct)
@@ -109,23 +98,18 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 }
 
 // TestEngineProgressNonMonotonic: the delta feed must survive cumulative
-// readings that go backwards. Registry counters panic on negative Add, and
-// a parallel run's snapshots are not guaranteed monotone in every field
-// (the Done emission, for one, is taken after the speculation pool is torn
-// down, so its scheduler counters reset to zero). The guard clamps such
-// intervals instead of crashing the job's worker goroutine.
+// readings that go backwards. Registry counters panic on negative Add, so
+// the guard clamps such intervals instead of crashing the job's worker
+// goroutine, and the Done emission still drains the table-states gauge.
 func TestEngineProgressNonMonotonic(t *testing.T) {
 	m := newPromMetrics(1)
 	ep := &engineProgress{m: m}
 
-	grow := glift.Progress{
-		Stats: glift.Stats{Cycles: 1000, Paths: 10, Forks: 5, WallNanos: 100},
-		Sched: glift.SchedStats{Workers: 3, Busy: 2, DequeDepth: 4, Steals: 7, SpecUsed: 5, SpecWasted: 1,
-			SpecLanes: 8, LaneBatches: 4, LanesPacked: 24, LanesWasted: 8},
-	}
-	ep.observe(grow)
-	if v := m.engLaneOccup.Value(); v != 24.0/(4*8) {
-		t.Errorf("lane-occupancy gauge = %v, want %v", v, 24.0/(4*8))
+	ep.observe(glift.Progress{
+		Stats: glift.Stats{Cycles: 1000, Paths: 10, Forks: 5, TableStates: 4, WallNanos: 100},
+	})
+	if v := m.engTableStates.Value(); v != 4 {
+		t.Errorf("table-states gauge = %v, want 4", v)
 	}
 
 	// A regressed snapshot: every cumulative field below its predecessor.
@@ -135,19 +119,15 @@ func TestEngineProgressNonMonotonic(t *testing.T) {
 		}
 	}()
 	ep.observe(glift.Progress{
-		Stats: glift.Stats{Cycles: 900, Paths: 8, Forks: 3, WallNanos: 90},
-		Sched: glift.SchedStats{},
+		Stats: glift.Stats{Cycles: 900, Paths: 8, Forks: 3, TableStates: 3, WallNanos: 90},
 	})
-	// And the Done emission with zeroed scheduler state must drain the
-	// gauges back to zero rather than pushing them negative forever.
+	// The Done emission must drain the gauge back to zero rather than
+	// leaving the finished run's table counted forever.
 	ep.observe(glift.Progress{
-		Stats: glift.Stats{Cycles: 1100, Paths: 11, Forks: 6, WallNanos: 120},
+		Stats: glift.Stats{Cycles: 1100, Paths: 11, Forks: 6, TableStates: 5, WallNanos: 120},
 		Done:  true,
 	})
-	if v := m.engSpecBusy.Value(); v != 0 {
-		t.Errorf("spec-busy gauge = %v after Done, want 0", v)
-	}
-	if v := m.engDequeDepth.Value(); v != 0 {
-		t.Errorf("deque-depth gauge = %v after Done, want 0", v)
+	if v := m.engTableStates.Value(); v != 0 {
+		t.Errorf("table-states gauge = %v after Done, want 0", v)
 	}
 }

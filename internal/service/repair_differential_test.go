@@ -7,9 +7,9 @@ package service
 // stats. Both paths execute repair.Run (the shared round loop), so what
 // this suite actually pins is everything the daemon wraps around it:
 // request compilation, option plumbing, the JSON round-trip, and the
-// performance knobs (workers, backend, spec-lanes) whose exclusion from the
-// repair cache key is sound only if they can never change a byte of the
-// result.
+// engine's performance knobs (Options.Workers and Options.Backend, which
+// secure430 exposes and the daemon pins), whose exclusion from the repair
+// cache key is sound only if they can never change a byte of the result.
 
 import (
 	"context"
@@ -25,8 +25,9 @@ import (
 
 // benchRepairSpec is the reference input: the full unarmed benchmark system
 // with the evaluation policy, exactly what the secure430 invocation in the
-// integration suite passes on the command line.
-func benchRepairSpec(b *bench.Benchmark) *repair.Spec {
+// integration suite passes on the command line, run under the given engine
+// options.
+func benchRepairSpec(b *bench.Benchmark, opt *glift.Options) *repair.Spec {
 	return &repair.Spec{
 		Source: bench.Source(b),
 		Policy: glift.Policy{
@@ -36,12 +37,12 @@ func benchRepairSpec(b *bench.Benchmark) *repair.Spec {
 			TaintedData:     []glift.AddrRange{{Lo: bench.PartLo, Hi: bench.PartLo + bench.PartSize}},
 		},
 		CodeRanges: []string{"task_start:task_end"},
-		Options:    &glift.Options{Workers: 1, Backend: sim.BackendInterp},
+		Options:    opt,
 	}
 }
 
 // benchRepairReq is the same input as an HTTP submission.
-func benchRepairReq(b *bench.Benchmark, opt OptionsRequest) *JobRequest {
+func benchRepairReq(b *bench.Benchmark) *JobRequest {
 	return &JobRequest{
 		Source: bench.Source(b),
 		Mode:   "repair",
@@ -51,14 +52,13 @@ func benchRepairReq(b *bench.Benchmark, opt OptionsRequest) *JobRequest {
 			TaintedOutPorts: []int{1},
 			TaintedData:     []RangeRequest{{Lo: bench.PartLo, Hi: bench.PartLo + bench.PartSize}},
 		},
-		Repair:  &RepairRequest{TaintedCode: []string{"task_start:task_end"}},
-		Options: opt,
+		Repair: &RepairRequest{TaintedCode: []string{"task_start:task_end"}},
 	}
 }
 
 // normalizedRepairJSON serializes a repair payload with the report's
 // wall-clock and peak-memory stats zeroed — the only fields allowed to
-// differ between the CLI loop and the daemon, or between performance
+// differ between the CLI loop and the daemon, or between engine
 // configurations.
 func normalizedRepairJSON(t *testing.T, rj repair.ResultJSON) string {
 	t.Helper()
@@ -71,33 +71,42 @@ func normalizedRepairJSON(t *testing.T, rj repair.ResultJSON) string {
 	return string(out)
 }
 
+// refOptions is the reference engine configuration: the interpreter
+// backend run sequentially, the simplest configuration the engine supports.
+var refOptions = glift.Options{Workers: 1, Backend: sim.BackendInterp}
+
 // runReference executes the shared round loop directly — the exact code
 // path cmd/secure430 runs — as the differential reference.
-func runReference(t *testing.T, b *bench.Benchmark) *repair.Result {
+func runReference(t *testing.T, b *bench.Benchmark, opt glift.Options) *repair.Result {
 	t.Helper()
-	res, err := repair.Run(context.Background(), benchRepairSpec(b))
+	res, err := repair.Run(context.Background(), benchRepairSpec(b, &opt))
 	if err != nil {
 		t.Fatalf("reference repair.Run(%s): %v", b.Name, err)
 	}
 	return res
 }
 
-// diffRepair submits one repair job to a fresh daemon (each call gets its
-// own server so the content-addressed cache cannot serve a previous
-// configuration's bytes) and compares the served payload against the
-// reference, field by field and then byte for byte.
-func diffRepair(t *testing.T, b *bench.Benchmark, ref *repair.Result, opt OptionsRequest, label string) {
+// serveRepair submits one repair job to a fresh daemon (so the
+// content-addressed cache cannot serve bytes from an earlier submission)
+// and returns the HTTP status and the served repair payload.
+func serveRepair(t *testing.T, b *bench.Benchmark) (int, *repair.ResultJSON) {
 	t.Helper()
 	c, _ := newTestClient(t, Config{Workers: 1, QueueDepth: 8})
-	code, st := c.do("POST", "/jobs?wait=1", benchRepairReq(b, opt))
+	code, st := c.do("POST", "/jobs?wait=1", benchRepairReq(b))
+	if st.Repair == nil {
+		t.Fatalf("%s: no repair payload (HTTP %d)", b.Name, code)
+	}
+	return code, st.Repair
+}
+
+// diffRepair compares a served repair payload against the reference, field
+// by field and then byte for byte.
+func diffRepair(t *testing.T, b *bench.Benchmark, ref *repair.Result, code int, rj *repair.ResultJSON, label string) {
+	t.Helper()
 	wantCode := verdictStatus(ref.Report.Verdict())
 	if code != wantCode {
 		t.Fatalf("%s/%s: HTTP %d, reference verdict %s wants %d",
 			b.Name, label, code, ref.Report.Verdict(), wantCode)
-	}
-	rj := st.Repair
-	if rj == nil {
-		t.Fatalf("%s/%s: no repair payload", b.Name, label)
 	}
 	if rj.PatchedAsm != ref.Asm {
 		t.Errorf("%s/%s: patched assembly differs from the reference loop:\n--- daemon ---\n%s\n--- reference ---\n%s",
@@ -131,32 +140,31 @@ func TestRepairDifferentialAllBenchmarks(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			ref := runReference(t, b)
+			ref := runReference(t, b, refOptions)
 			if len(ref.Rounds) == 0 {
 				t.Fatalf("reference ran no rounds")
 			}
-			diffRepair(t, b, ref, OptionsRequest{}, "default")
+			code, rj := serveRepair(t, b)
+			diffRepair(t, b, ref, code, rj, "default")
 		})
 	}
 }
 
 // TestRepairDifferentialKnobSweep sweeps the engine's performance knobs —
-// workers × backend × spec-lanes — on two branchy benchmarks (data-
-// dependent control flow forks the exploration, the hard case for engine
-// determinism). Every configuration must reproduce the reference payload
-// byte-identically; this is the guarantee that lets the repair cache key
-// exclude all three knobs.
+// workers × backend, as secure430's -workers and -backend set them — on two
+// branchy benchmarks (data-dependent control flow forks the exploration,
+// the hard case for engine determinism). The daemon, which pins both knobs,
+// must serve a payload byte-identical to every configuration's (the
+// refOptions configuration is TestRepairDifferentialAllBenchmarks'); this
+// is the guarantee that lets the repair cache key exclude them.
 func TestRepairDifferentialKnobSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repair differential sweep skipped in -short mode")
 	}
-	configs := []OptionsRequest{
-		{Workers: 4, Backend: "interp"},
-		{Workers: 1, Backend: "compiled"},
-		{Workers: 4, Backend: "compiled"},
-		{Workers: 1, Backend: "bitslice"},
-		{Workers: 4, Backend: "compiled", SpecLanes: 8},
-		{Workers: 2, Backend: "bitslice", SpecLanes: 4},
+	configs := []glift.Options{
+		{Workers: 4, Backend: sim.BackendInterp},
+		{Workers: 1, Backend: sim.BackendCompiled},
+		{Workers: 4, Backend: sim.BackendCompiled},
 	}
 	for _, name := range []string{"binSearch", "tHold"} {
 		name := name
@@ -166,10 +174,10 @@ func TestRepairDifferentialKnobSweep(t *testing.T) {
 			if b == nil {
 				t.Fatalf("no benchmark %q", name)
 			}
-			ref := runReference(t, b)
+			code, rj := serveRepair(t, b)
 			for _, opt := range configs {
-				label := fmt.Sprintf("%s/w%d/l%d", opt.Backend, opt.Workers, opt.SpecLanes)
-				diffRepair(t, b, ref, opt, label)
+				ref := runReference(t, b, opt)
+				diffRepair(t, b, ref, code, rj, fmt.Sprintf("%s/w%d", opt.Backend, opt.Workers))
 			}
 		})
 	}

@@ -35,7 +35,6 @@ import (
 	"repro/internal/glift"
 	"repro/internal/mcu"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/target"
 )
@@ -53,23 +52,6 @@ type Config struct {
 	// DefaultDeadline applies to jobs that do not specify deadline_ms
 	// (0: no deadline).
 	DefaultDeadline time.Duration
-	// EngineWorkers is the per-engine exploration worker count applied to
-	// jobs that do not request one (0: the engine default, GOMAXPROCS).
-	// Service workers multiply with engine workers, so hosts running
-	// several concurrent jobs usually want this pinned low.
-	EngineWorkers int
-	// EngineBackend is the gate-evaluation backend applied to jobs that do
-	// not request one (zero value: the compiled default). Like
-	// EngineWorkers it never affects results — backends are byte-identical
-	// by the differential contract — so it participates in neither job
-	// keys nor caching.
-	EngineBackend sim.BackendKind
-	// EngineSpecLanes is the bitsliced speculation lane count per engine
-	// worker applied to jobs that do not request one (0 or 1: scalar
-	// speculation, max 64). Like EngineWorkers and EngineBackend it only
-	// changes wall time, never results, so it participates in neither job
-	// keys nor caching.
-	EngineSpecLanes int
 
 	// StoreDir enables the crash-safe persistent result store: completed
 	// Verified/Violations reports are fsynced there before the submitter is
@@ -348,7 +330,7 @@ func (s *Server) designFor(tgt *target.Target) (*mcu.Design, [sha256.Size]byte) 
 // guaranteed to produce the same completed report, which is what makes
 // cache reuse and in-flight coalescing sound — and why the target, which
 // selects the analyzed system itself, participates in the key while the
-// wall-time knobs (Workers/Backend/SpecLanes) do not.
+// wall-time knobs (Options.Workers/Backend) do not.
 func (s *Server) jobKey(tgt *target.Target, img *asm.Image, pol *glift.Policy, opt *glift.Options, deadline time.Duration) string {
 	_, fp := s.designFor(tgt)
 	h := sha256.New()
@@ -368,12 +350,10 @@ func (s *Server) jobKey(tgt *target.Target, img *asm.Image, pol *glift.Policy, o
 		put(seg.Words)
 	}
 	h.Write(pol.CanonicalJSON())
-	// Normalized() zeroes Options.Workers and Options.Backend: the parallel
-	// engine guarantees byte-identical reports for every worker count, and
-	// the evaluation backends are byte-identical by the same differential
-	// contract (the suite in internal/glift enforces both), so hashing
-	// either would only split the cache and defeat coalescing between
-	// equivalent submissions.
+	// Only the fields that can change the report are hashed. Workers and
+	// Backend cannot (the differential suites in internal/glift enforce
+	// byte-identical reports across both), and every job here runs
+	// sequentially on the compiled backend anyway.
 	n := opt.Normalized()
 	put(n.MaxCycles)
 	put(n.MaxPathCycles)
@@ -423,15 +403,6 @@ func (s *Server) runJob(j *job) {
 		defer cancel()
 	}
 	opt := j.opt
-	if opt.Workers == 0 {
-		opt.Workers = s.cfg.EngineWorkers
-	}
-	if !j.backendSet {
-		opt.Backend = s.cfg.EngineBackend
-	}
-	if opt.SpecLanes == 0 {
-		opt.SpecLanes = s.cfg.EngineSpecLanes
-	}
 	opt.Progress = (&engineProgress{m: s.prom, next: func(p glift.Progress) {
 		j.setProgress(p)
 		s.publish(j.id, EventProgress, progressJSON(p))

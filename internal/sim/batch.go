@@ -9,8 +9,7 @@ import (
 // lockstep: lane i of every three-plane word (see bitslice.go) is its own
 // analysis context with its own inputs, forced-net overlay, flip-flop state
 // and toggle counter. One Eval/Clock advances every lane at once, which is
-// what the batched fault campaign (internal/fault) and lane-packed
-// speculation (internal/glift) build on.
+// what the batched fault campaign (internal/fault) builds on.
 //
 // Lanes that finish early are retired via SetActive: retired lanes keep
 // evaluating (their words ride along for free) but stop accruing toggle
@@ -24,7 +23,7 @@ type BatchBackend struct {
 // NewBatchBackend constructs a batch evaluator with the given lane count
 // (1..BatchLanes). All lanes start at untainted X (InitX applied).
 func NewBatchBackend(nl *netlist.Netlist, lanes int) (*BatchBackend, error) {
-	c, err := newBitsliceCore(nl, lanes, false)
+	c, err := newBatchCore(nl, lanes)
 	if err != nil {
 		return nil, err
 	}

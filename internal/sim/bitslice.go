@@ -13,8 +13,8 @@ import (
 // gate across up to 64 independent analysis contexts at once.
 const BatchLanes = 64
 
-// bitslice is the bitsliced evaluation backend. Each net carries three
-// uint64 planes, where bit i of each word is lane i's state:
+// bitslice is the bitsliced evaluation core behind BatchBackend. Each net
+// carries three uint64 planes, where bit i of each word is lane i's state:
 //
 //	L ("can be 0")  H ("can be 1")  T (taint)
 //	0:  L=1 H=0         1:  L=0 H=1         X:  L=1 H=1
@@ -32,22 +32,12 @@ const BatchLanes = 64
 // forced-net overlay generalizes to per-lane masks (fMask/fL/fH/fT): a
 // fully masked force skips the driver like the scalar backends, a partial
 // mask merges the forced lanes over the computed ones.
-//
-// The same core backs two front ends: the 64-lane-broadcast scalar Backend
-// registered as "bitslice" (all lanes identical; a shadow array mirrors
-// lane 0 as packed signals to satisfy the Circuit wrapper's dense reads),
-// and the per-lane BatchBackend API in batch.go.
 type bitslice struct {
 	nl       *netlist.Netlist
 	lanes    int
 	laneMask uint64
 
 	pl, ph, pt []uint64 // per-net planes: can-be-0, can-be-1, taint
-
-	// shadow, when non-nil, mirrors lane 0 of every net as a packed
-	// signal — the dense array the Circuit wrapper reads directly. Only
-	// the broadcast Backend front end maintains it.
-	shadow []logic.Packed
 
 	tmpL, tmpH, tmpT []uint64 // scratch for DFF next-state planes
 	rstOne           []bool   // per-DFF reset value is One
@@ -76,12 +66,11 @@ type bitslice struct {
 	// Per-lane force overlay, stamped by forcedEp.
 	fMask, fL, fH, fT []uint64
 
-	// Per-lane machinery used by the BatchBackend front end.
-	active     uint64      // lanes whose DFF toggles are counted
-	countLanes bool        // maintain per-lane toggle counters
-	toggles    []uint64    // per-lane accumulated DFF value transitions
-	forces     []laneForce // staged per-lane forces for the next Eval
-	forceIx    map[netlist.NetID]int32
+	// Per-lane machinery.
+	active  uint64      // lanes whose DFF toggles are counted
+	toggles []uint64    // per-lane accumulated DFF value transitions
+	forces  []laneForce // staged per-lane forces for the next Eval
+	forceIx map[netlist.NetID]int32
 }
 
 // laneForce is one net's per-lane force for a single Eval: the masked lanes
@@ -92,7 +81,7 @@ type laneForce struct {
 	l, h, t uint64
 }
 
-func newBitsliceCore(nl *netlist.Netlist, lanes int, shadow bool) (*bitslice, error) {
+func newBatchCore(nl *netlist.Netlist, lanes int) (*bitslice, error) {
 	if lanes < 1 || lanes > BatchLanes {
 		return nil, fmt.Errorf("sim: bitslice lanes %d out of range [1,%d]", lanes, BatchLanes)
 	}
@@ -127,15 +116,10 @@ func newBitsliceCore(nl *netlist.Netlist, lanes int, shadow bool) (*bitslice, er
 		fH:        make([]uint64, nn),
 		fT:        make([]uint64, nn),
 		needFull:  true,
+		toggles:   make([]uint64, BatchLanes),
 		forceIx:   make(map[netlist.NetID]int32),
 	}
 	c.active = c.laneMask
-	if shadow {
-		c.shadow = make([]logic.Packed, nn)
-	} else {
-		c.countLanes = true
-		c.toggles = make([]uint64, BatchLanes)
-	}
 	for i, d := range nl.DFFs {
 		c.rstOne[i] = d.RstVal == logic.One
 	}
@@ -175,12 +159,6 @@ func newBitsliceCore(nl *netlist.Netlist, lanes int, shadow bool) (*bitslice, er
 	return c, nil
 }
 
-// newBitslice constructs the broadcast Backend front end: 64 identical
-// lanes behind the scalar interface.
-func newBitslice(nl *netlist.Netlist) (*bitslice, error) {
-	return newBitsliceCore(nl, BatchLanes, true)
-}
-
 // sigPlanes broadcasts one signal to full-width planes.
 func sigPlanes(s logic.Sig) (l, h, t uint64) {
 	switch s.V {
@@ -195,13 +173,6 @@ func sigPlanes(s logic.Sig) (l, h, t uint64) {
 		t = ^uint64(0)
 	}
 	return
-}
-
-// packLane0 reads lane 0 of a net back as a packed signal.
-func (c *bitslice) packLane0(id netlist.NetID) logic.Packed {
-	l, h, t := c.pl[id]&1, c.ph[id]&1, c.pt[id]&1
-	v := (h &^ l) | (l&h)<<1
-	return logic.Packed(v | t<<2)
 }
 
 // laneSig reads one lane of a net.
@@ -221,16 +192,13 @@ func (c *bitslice) laneSig(id netlist.NetID, lane int) logic.Sig {
 	return logic.Sig{V: v, T: t != 0}
 }
 
-// setPlanes writes a net's planes, maintaining the shadow array and the
-// pending worklist exactly like the compiled backend's Set.
+// setPlanes writes a net's planes, maintaining the pending worklist
+// exactly like the compiled backend's Set.
 func (c *bitslice) setPlanes(id netlist.NetID, l, h, t uint64) {
 	if c.pl[id] == l && c.ph[id] == h && c.pt[id] == t {
 		return
 	}
 	c.pl[id], c.ph[id], c.pt[id] = l, h, t
-	if c.shadow != nil {
-		c.shadow[id] = c.packLane0(id)
-	}
 	if !c.needFull {
 		c.pending = append(c.pending, id)
 	}
@@ -255,20 +223,7 @@ func (c *bitslice) setLane(id netlist.NetID, lane int, s logic.Sig) {
 	c.setPlanes(id, l, h, t)
 }
 
-func (c *bitslice) vals() []logic.Packed { return c.shadow }
-
-func (c *bitslice) Get(id netlist.NetID) logic.Packed {
-	if c.shadow != nil {
-		return c.shadow[id]
-	}
-	return c.packLane0(id)
-}
-
-func (c *bitslice) Set(id netlist.NetID, p logic.Packed) {
-	l, h, t := sigPlanes(logic.Unpack(p))
-	c.setPlanes(id, l, h, t)
-}
-
+// InitX resets every lane of every net to untainted X, constants excepted.
 func (c *bitslice) InitX() {
 	for i := range c.pl {
 		c.pl[i], c.ph[i], c.pt[i] = ^uint64(0), ^uint64(0), 0
@@ -276,31 +231,12 @@ func (c *bitslice) InitX() {
 	c0, c1 := c.nl.Const0(), c.nl.Const1()
 	c.pl[c0], c.ph[c0] = ^uint64(0), 0
 	c.pl[c1], c.ph[c1] = 0, ^uint64(0)
-	if c.shadow != nil {
-		xp := logic.Pack(logic.X0)
-		for i := range c.shadow {
-			c.shadow[i] = xp
-		}
-		c.shadow[c0] = logic.Pack(logic.Zero0)
-		c.shadow[c1] = logic.Pack(logic.One0)
-	}
 	c.pending = c.pending[:0]
 	c.needFull = true
 }
 
-// Eval implements the scalar Backend protocol: every forced net applies to
-// all lanes.
-func (c *bitslice) Eval(forced map[netlist.NetID]logic.Sig) {
-	c.forces = c.forces[:0]
-	for id, s := range forced {
-		l, h, t := sigPlanes(s)
-		c.forces = append(c.forces, laneForce{id: id, mask: ^uint64(0), l: l, h: h, t: t})
-	}
-	c.evalForces(c.forces)
-	c.forces = c.forces[:0]
-}
-
-// evalForces is the shared Eval core for both front ends.
+// evalForces propagates values through the combinational logic of every
+// lane under the given per-lane force overlay.
 func (c *bitslice) evalForces(forces []laneForce) {
 	c.epoch++
 	ep := c.epoch
@@ -397,9 +333,6 @@ func (c *bitslice) step(p int32, ep uint64) {
 	}
 	if l != c.pl[o] || h != c.ph[o] || t != c.pt[o] {
 		c.pl[o], c.ph[o], c.pt[o] = l, h, t
-		if c.shadow != nil {
-			c.shadow[o] = c.packLane0(netlist.NetID(o))
-		}
 		c.seed(netlist.NetID(o), ep)
 	}
 }
@@ -421,9 +354,6 @@ func (c *bitslice) fullSweep(ep uint64) {
 			t = t&^m | c.fT[o]
 		}
 		c.pl[o], c.ph[o], c.pt[o] = l, h, t
-		if c.shadow != nil {
-			c.shadow[o] = c.packLane0(netlist.NetID(o))
-		}
 	}
 }
 
@@ -508,10 +438,9 @@ func (c *bitslice) evalGate(p int32) (l, h, t uint64) {
 	}
 }
 
-// clockPlanes commits flip-flop next states across all lanes and returns
-// lane 0's value-transition count (the scalar Backend contract). Per-lane
-// counts, when enabled, accumulate into c.toggles for lanes in c.active.
-func (c *bitslice) clockPlanes() uint64 {
+// clockPlanes commits flip-flop next states across all lanes; per-lane
+// value-transition counts accumulate into c.toggles for lanes in c.active.
+func (c *bitslice) clockPlanes() {
 	dffs := c.nl.DFFs
 	for i := range dffs {
 		d := &dffs[i]
@@ -527,51 +456,19 @@ func (c *bitslice) clockPlanes() uint64 {
 		c.tmpL[i], c.tmpH[i], c.tmpT[i] = bsMux(c.pl[d.Rst], c.ph[d.Rst], c.pt[d.Rst],
 			hL, hH, hT, rL, rH, 0)
 	}
-	var t0 uint64
 	act := c.active & c.laneMask
 	for i := range dffs {
 		q := dffs[i].Q
 		oL, oH, oT := c.pl[q], c.ph[q], c.pt[q]
 		nL, nH, nT := c.tmpL[i], c.tmpH[i], c.tmpT[i]
-		if diff := ((oL ^ nL) | (oH ^ nH)) & act; diff != 0 {
-			t0 += diff & 1
-			if c.countLanes {
-				for w := diff; w != 0; w &= w - 1 {
-					c.toggles[bits.TrailingZeros64(w)]++
-				}
-			}
+		for w := ((oL ^ nL) | (oH ^ nH)) & act; w != 0; w &= w - 1 {
+			c.toggles[bits.TrailingZeros64(w)]++
 		}
 		if oL != nL || oH != nH || oT != nT {
 			c.pl[q], c.ph[q], c.pt[q] = nL, nH, nT
-			if c.shadow != nil {
-				c.shadow[q] = c.packLane0(q)
-			}
 			if !c.needFull {
 				c.pending = append(c.pending, q)
 			}
 		}
 	}
-	return t0
-}
-
-func (c *bitslice) Clock() uint64 { return c.clockPlanes() }
-
-func (c *bitslice) DFFState() []logic.Packed {
-	out := make([]logic.Packed, len(c.nl.DFFs))
-	for i, d := range c.nl.DFFs {
-		out[i] = c.Get(d.Q)
-	}
-	return out
-}
-
-func (c *bitslice) RestoreDFFState(st []logic.Packed) {
-	for i, d := range c.nl.DFFs {
-		l, h, t := sigPlanes(logic.Unpack(st[i]))
-		c.pl[d.Q], c.ph[d.Q], c.pt[d.Q] = l, h, t
-		if c.shadow != nil {
-			c.shadow[d.Q] = st[i]
-		}
-	}
-	c.pending = c.pending[:0]
-	c.needFull = true
 }

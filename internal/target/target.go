@@ -9,9 +9,9 @@
 // target names, every -target CLI flag and the gliftd job schema derive
 // their valid values from it, and the first entry (msp430) is the default
 // so existing callers and serialized jobs keep their meaning. Unlike
-// Workers/Backend/SpecLanes — wall-time knobs excluded from content-
-// addressed job keys — the target changes the analyzed system itself, so
-// it IS part of the key (see internal/service).
+// glift.Options.Workers and Backend — wall-time knobs excluded from
+// content-addressed job keys — the target changes the analyzed system
+// itself, so it is part of the key (see internal/service).
 //
 // Per-cycle mechanics need no target dispatch: design conventions (memory
 // geometry, trap encoding, jump-word detection, register naming) travel on
