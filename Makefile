@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build fmt vet vet-perfbench test race race-observability differential backend-differential repair-differential target-differential fault trace bench-json bench-check serve soak stream clean
+.PHONY: check build fmt vet vet-perfbench test-perfbench test race race-observability differential backend-differential repair-differential target-differential fault trace bench-json bench-check serve soak stream clean
 
-# check is the CI gate: formatting, vet (including the separate perfbench
-# module), build, the full suite under the race detector (speculation
+# check is the CI gate: formatting, vet and test of the separate perfbench
+# module, vet, build, the full suite under the race detector (speculation
 # workers, bench fan-out, the service and the CLIs all run concurrently),
 # the repair differential, and the target differential.
-check: fmt vet vet-perfbench build race repair-differential target-differential
+check: fmt vet vet-perfbench test-perfbench build race repair-differential target-differential
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ vet:
 # engine, service and simulator APIs.
 vet-perfbench:
 	$(GO) -C perfbench vet .
+
+# test-perfbench runs the benchmark harness's own tests (about a minute):
+# the only test that drives a built gliftd through its /metrics.json shape
+# and checks every served report against the golden digests.
+test-perfbench:
+	$(GO) -C perfbench test .
 
 # The glift suite explores full benchmark binaries; under the race
 # detector it outgrows go test's default 10m per-package timeout.

@@ -203,6 +203,21 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return &Counter{c: v.f.child(labelValues)}
 }
 
+// Each calls fn with the label values and the current value of every
+// series in the family, in no particular order. fn must not modify
+// labelValues, which is the series' own slice.
+func (v *CounterVec) Each(fn func(labelValues []string, value float64)) {
+	v.f.mu.RLock()
+	children := make([]*child, 0, len(v.f.children))
+	for _, c := range v.f.children {
+		children = append(children, c)
+	}
+	v.f.mu.RUnlock()
+	for _, c := range children {
+		fn(c.labelVals, math.Float64frombits(c.valBits.Load()))
+	}
+}
+
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *family }
 

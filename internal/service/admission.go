@@ -106,21 +106,21 @@ func (q *tenantQuotas) sweepLocked() {
 // before the first completion seeds the EWMA — admission stays open until
 // the service has evidence it is saturated. Caller holds s.mu.
 func (s *Server) estimatedQueueWaitLocked() time.Duration {
-	if s.m.avgRunNanos <= 0 || s.m.busyWorkers < s.cfg.Workers {
+	if s.load.avgRunNanos <= 0 || s.load.busyWorkers < s.cfg.Workers {
 		return 0
 	}
-	return time.Duration(float64(s.m.queueDepth+1) * s.m.avgRunNanos / float64(s.cfg.Workers))
+	return time.Duration(float64(s.load.queueDepth+1) * s.load.avgRunNanos / float64(s.cfg.Workers))
 }
 
 // observeRunLocked folds one completed job's wall time into the duration
 // EWMA that prices queue admission. Caller holds s.mu.
 func (s *Server) observeRunLocked(dur time.Duration) {
 	const alpha = 0.2
-	if s.m.avgRunNanos == 0 {
-		s.m.avgRunNanos = float64(dur)
+	if s.load.avgRunNanos == 0 {
+		s.load.avgRunNanos = float64(dur)
 		return
 	}
-	s.m.avgRunNanos += alpha * (float64(dur) - s.m.avgRunNanos)
+	s.load.avgRunNanos += alpha * (float64(dur) - s.load.avgRunNanos)
 }
 
 // setRetryAfter stamps the standard backpressure header, rounding up to a

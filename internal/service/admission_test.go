@@ -157,7 +157,7 @@ func TestServiceDeadlineShed(t *testing.T) {
 	// Seed the EWMA white-box: completed jobs "take an hour", so any
 	// realistic deadline is unmeetable behind the busy worker.
 	s.mu.Lock()
-	s.m.avgRunNanos = float64(time.Hour)
+	s.load.avgRunNanos = float64(time.Hour)
 	s.mu.Unlock()
 
 	resp := c.doRaw("POST", "/jobs", &JobRequest{
@@ -193,7 +193,7 @@ func waitBusy(t *testing.T, s *Server) {
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		s.mu.Lock()
-		busy := s.m.busyWorkers
+		busy := s.load.busyWorkers
 		s.mu.Unlock()
 		if busy > 0 {
 			return

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/glift"
 	"repro/internal/obs"
@@ -121,38 +120,24 @@ func (s *Server) publish(jobID, typ string, v any) {
 	}
 }
 
-// finishJob publishes the final report to waiters and the stream in one
-// place: report to the job record, verdict event to the topic, then the
-// terminal topic close. Every completion path — engine run, cache hit,
-// store hit — funnels through here so no stream can end without its
-// verdict event.
-func (s *Server) finishJob(j *job, rep *glift.Report, cacheHit bool, stages StageTimesJSON) {
-	j.finish(rep)
+// finishJob publishes the final result to waiters and the stream in one
+// place: result to the job record, verdict event to the topic, then the
+// terminal topic close and the completion log line. Every completion path
+// — engine run, cache hit, store hit — funnels through here so no stream
+// can end without its verdict event.
+func (s *Server) finishJob(j *job, c *cachedResult, stages StageTimesJSON) {
+	j.finish(c)
+	verdict := c.rep.Verdict().String()
 	s.publish(j.id, EventVerdict, VerdictEventJSON{
 		ID:       j.id,
-		Verdict:  rep.Verdict().String(),
-		CacheHit: cacheHit,
+		Verdict:  verdict,
+		CacheHit: j.cacheHit,
 		Stages:   stages,
 	})
 	s.broker.CloseTopic(j.id)
-}
-
-// finishHit completes a cache- or store-served job: the lookup duration is
-// the job's cache-hit stage, and the stream carries the verdict as its
-// only event — late subscribers replay it from the ring. Repair hits carry
-// the full repair payload back to the job record.
-func (s *Server) finishHit(j *job, c *cachedResult, start time.Time) {
-	d := time.Since(start)
-	s.prom.stages.Observe(StageCacheHit, d)
-	if c.rres != nil {
-		j.setRepair(c.rres)
-	}
-	s.finishJob(j, c.rep, true, StageTimesJSON{
-		CacheHitNS: d.Nanoseconds(),
-		TotalNS:    d.Nanoseconds(),
-	})
-	s.log.Info("job served from cache",
-		"job_id", j.id, "tenant", j.tenant, "verdict", c.rep.Verdict().String())
+	s.log.Info("job completed",
+		"job_id", j.id, "tenant", j.tenant, "mode", j.mode, "verdict", verdict,
+		"cache_hit", j.cacheHit, "cycles", c.rep.Stats.Cycles, "stages", stages)
 }
 
 // progressJSON converts an engine progress snapshot to its wire form

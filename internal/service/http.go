@@ -23,8 +23,8 @@ import (
 //	GET    /jobs/{id}     status + live progress; final report when done
 //	DELETE /jobs/{id}     cancel; the run completes with verdict incomplete
 //	GET    /metrics       Prometheus text exposition (JSON via Accept:
-//	                      application/json, preserving the legacy shape)
-//	GET    /metrics.json  service counters as JSON
+//	                      application/json)
+//	GET    /metrics.json  the same series as one MetricsJSON document
 //	GET    /healthz       liveness
 //
 // Verdict → status for completed jobs: verified → 200, violations → 409,
@@ -59,7 +59,8 @@ type JobStatusJSON struct {
 	Repair *repair.ResultJSON `json:"repair,omitempty"`
 }
 
-// MetricsJSON is the /metrics payload.
+// MetricsJSON is the /metrics.json payload, rendered from the /metrics
+// series (see handleMetricsJSON).
 type MetricsJSON struct {
 	JobsSubmitted   int64            `json:"jobs_submitted"`
 	JobsCompleted   int64            `json:"jobs_completed"`
@@ -151,14 +152,25 @@ func (j *job) status() JobStatusJSON {
 		Coalesced: j.coalesced,
 		Cancelled: j.cancelled,
 		Progress:  progressJSON(j.progress),
-		Repair:    j.rres,
 	}
-	if j.report != nil {
-		rj := j.report.JSON()
+	if j.result != nil {
+		rj := j.result.rep.JSON()
 		st.Verdict = rj.Verdict
 		st.Report = &rj
+		st.Repair = j.result.rres
 	}
 	return st
+}
+
+// reply writes j's status: with the verdict's HTTP status once the job is
+// done, and with pending before that.
+func (j *job) reply(w http.ResponseWriter, pending int) {
+	st := j.status()
+	code := pending
+	if st.State == stateDone {
+		code = verdictStatus(j.result.rep.Verdict())
+	}
+	writeJSON(w, code, st)
 }
 
 // newJobLocked allocates a job record and its event-stream topic; the
@@ -187,23 +199,14 @@ func (s *Server) tryServeExistingLocked(w http.ResponseWriter, r *http.Request, 
 	// Repair keys are domain-tagged, so a hit's shape always matches the
 	// submission's mode.
 	if c, ok := s.cache.get(key); ok {
-		s.m.cacheHits++
-		s.prom.cacheHits.Inc()
-		j := s.newJobLocked(key)
-		j.cacheHit = true
-		j.mode = mode
-		j.tenant = tenantOf(r)
-		s.mu.Unlock()
-		s.finishHit(j, c, start)
-		s.respond(w, r, j, wait)
+		s.serveHitLocked(w, r, key, mode, c, wait, start)
 		return true
 	}
 	// In-flight dedup: an identical job already queued or running serves
 	// this submission too; the engine executes once.
 	if ex, ok := s.inflight[key]; ok {
-		s.m.coalesced++
-		s.prom.coalesced.Inc()
 		s.mu.Unlock()
+		s.prom.coalesced.Inc()
 		ex.mu.Lock()
 		ex.coalesced++
 		ex.mu.Unlock()
@@ -213,14 +216,29 @@ func (s *Server) tryServeExistingLocked(w http.ResponseWriter, r *http.Request, 
 	return false
 }
 
+// serveHitLocked answers a submission with a completed result from the
+// cache or the store: a new job record that finishes at once, whose
+// lookup duration is its cache-hit stage. The stream carries the verdict
+// as its only event; late subscribers replay it from the ring. The caller
+// holds s.mu; serveHitLocked releases it.
+func (s *Server) serveHitLocked(w http.ResponseWriter, r *http.Request, key, mode string, c *cachedResult, wait bool, start time.Time) {
+	j := s.newJobLocked(key)
+	j.cacheHit = true
+	j.mode = mode
+	j.tenant = tenantOf(r)
+	s.mu.Unlock()
+	s.prom.cacheHits.Inc()
+	d := time.Since(start)
+	s.prom.stages.Observe(StageCacheHit, d)
+	s.finishJob(j, c, StageTimesJSON{CacheHitNS: d.Nanoseconds(), TotalNS: d.Nanoseconds()})
+	s.respond(w, r, j, wait)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	submitStart := time.Now()
 	// Fault injection (chaos harness): a spurious overload answer that a
 	// well-behaved client absorbs by honoring Retry-After and retrying.
 	if p := s.cfg.ChaosRejectPercent; p > 0 && rand.IntN(100) < p {
-		s.mu.Lock()
-		s.m.chaosInjected++
-		s.mu.Unlock()
 		s.prom.chaosInjected.Inc()
 		setRetryAfter(w, time.Second)
 		writeError(w, http.StatusServiceUnavailable, "chaos: injected overload")
@@ -253,7 +271,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case modeAnalyze:
 		tgt, img, pol, opt, deadline, err = compile(&req)
 	case modeRepair:
-		rspec, opt, deadline, err = compileRepair(&req)
+		if rspec, opt, deadline, err = compileRepair(&req); err == nil {
+			pol = &rspec.Policy
+		}
 	default:
 		writeError(w, http.StatusBadRequest, "unknown mode %q (want analyze or repair)", mode)
 		return
@@ -266,9 +286,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// queue or cache state is touched.
 	if s.quotas != nil {
 		if ok, retry := s.quotas.admit(tenantOf(r)); !ok {
-			s.mu.Lock()
-			s.m.quotaRejected++
-			s.mu.Unlock()
 			s.prom.quotaRejected.Inc()
 			setRetryAfter(w, retry)
 			writeError(w, http.StatusTooManyRequests, "tenant %q over submission quota", tenantOf(r))
@@ -293,7 +310,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	s.m.submitted++
 	s.prom.jobsSubmitted.Inc()
 	if s.tryServeExistingLocked(w, r, key, mode, wait, submitStart) {
 		return
@@ -303,26 +319,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Persistent-store probe, outside the server lock (it reads and
 	// integrity-checks a record on disk). A validated hit is promoted into
 	// the memory cache so the next identical submission skips the disk.
-	var stored *cachedResult
-	if mode == modeRepair {
-		stored = s.lookupStoreRepair(key)
-	} else if rep := s.lookupStore(key); rep != nil {
-		stored = &cachedResult{rep: rep}
-	}
-	if stored != nil {
-		s.mu.Lock()
-		s.m.cacheHits++
-		s.m.storeHits++
-		s.prom.cacheHits.Inc()
+	if stored := s.lookupStore(key, mode); stored != nil {
 		s.prom.storeHits.Inc()
+		s.mu.Lock()
 		s.cache.put(key, stored)
-		j := s.newJobLocked(key)
-		j.cacheHit = true
-		j.mode = mode
-		j.tenant = tenantOf(r)
-		s.mu.Unlock()
-		s.finishHit(j, stored, submitStart)
-		s.respond(w, r, j, wait)
+		s.serveHitLocked(w, r, key, mode, stored, wait, submitStart)
 		return
 	}
 
@@ -332,14 +333,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.tryServeExistingLocked(w, r, key, mode, wait, submitStart) {
 		return
 	}
-	s.m.cacheMisses++
 	s.prom.cacheMisses.Inc()
 	// Deadline-aware shedding: a job that would time out waiting for a
 	// worker is refused now, with the predicted wait as Retry-After,
 	// instead of burning a worker on a result nobody can use.
 	if estWait := s.estimatedQueueWaitLocked(); deadline > 0 && estWait > deadline {
-		s.m.shed++
-		s.m.submitted-- // not accepted (the prom counter stays monotonic)
 		s.mu.Unlock()
 		s.prom.jobsShed.Inc()
 		setRetryAfter(w, estWait)
@@ -357,14 +355,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.queue <- j:
 		s.inflight[key] = j
-		s.m.queueDepth++
+		s.load.queueDepth++
 		s.mu.Unlock()
 		s.prom.queueDepth.Add(1)
 		s.publish(j.id, EventState, StateEventJSON{ID: j.id, State: stateQueued})
 		s.log.Debug("job queued", "job_id", j.id, "tenant", j.tenant, "key", j.key)
 	default:
-		s.m.rejected++
-		s.m.submitted-- // not accepted (the prom counter stays monotonic)
 		s.prom.jobsRejected.Inc()
 		delete(s.jobs, j.id)
 		retry := s.estimatedQueueWaitLocked()
@@ -389,12 +385,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, j *job, wait bo
 			return // client went away; the job keeps running for other waiters
 		}
 	}
-	st := j.status()
-	code := http.StatusAccepted
-	if st.State == stateDone {
-		code = verdictStatus(j.report.Verdict())
-	}
-	writeJSON(w, code, st)
+	j.reply(w, http.StatusAccepted)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -405,26 +396,18 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	st := j.status()
-	code := http.StatusOK
-	if st.State == stateDone {
-		code = verdictStatus(j.report.Verdict())
-	}
-	writeJSON(w, code, st)
+	j.reply(w, http.StatusOK)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
-	if ok {
-		s.m.cancels++
-		s.prom.cancels.Inc()
-	}
 	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
+	s.prom.cancels.Inc()
 	j.mu.Lock()
 	j.cancelled = true
 	already := j.state == stateDone
@@ -438,68 +421,65 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the Prometheus text exposition; clients asking for
-// application/json get the legacy JSON shape (also at /metrics.json).
+// application/json get the JSON view (also at /metrics.json).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if strings.Contains(r.Header.Get("Accept"), "application/json") {
 		s.handleMetricsJSON(w, r)
 		return
 	}
-	// The queue-depth gauge is maintained at enqueue/dequeue transitions
-	// (sampling len(s.queue) here would race against concurrent senders
-	// and receivers); only genuinely scrape-derived series sync here.
-	s.mu.Lock()
-	s.prom.cacheEntries.Set(float64(s.cache.len()))
-	s.syncStoreMetricsLocked()
-	s.mu.Unlock()
-	s.prom.streamSubs.Set(float64(s.broker.Subscribers()))
-	s.prom.streamTopics.Set(float64(s.broker.Topics()))
+	s.syncSampledSeries()
 	w.Header().Set("Content-Type", obs.PromContentType)
 	s.prom.reg.WritePrometheus(w) //nolint:errcheck // a broken client connection is not recoverable here
 }
 
+// handleMetricsJSON renders the registry's series as MetricsJSON. A
+// submission that was shed or rejected for a full queue was never
+// accepted, so it is not counted in jobs_submitted; a repair job counts
+// one engine run per round.
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
+	s.syncSampledSeries()
+	p := s.prom
+	n := func(v interface{ Value() float64 }) int64 { return int64(v.Value()) }
 	m := MetricsJSON{
-		JobsSubmitted:   s.m.submitted,
-		JobsCompleted:   s.m.completed,
-		JobsByVerdict:   make(map[string]int64, len(s.m.byVerdict)),
-		CacheHits:       s.m.cacheHits,
-		CacheMisses:     s.m.cacheMisses,
-		CacheEntries:    s.cache.len(),
-		JobsCoalesced:   s.m.coalesced,
-		EngineRuns:      s.m.engineRuns,
-		JobsRejected:    s.m.rejected,
-		DeadlineShed:    s.m.shed,
-		QuotaRejected:   s.m.quotaRejected,
-		ChaosInjected:   s.m.chaosInjected,
-		CancelRequests:  s.m.cancels,
-		QueueDepth:      s.m.queueDepth,
-		Workers:         s.cfg.Workers,
-		BusyWorkers:     s.m.busyWorkers,
-		CyclesSimulated: s.m.cyclesTotal,
-		Draining:        s.draining,
-		StoreHits:       s.m.storeHits,
+		JobsByVerdict:   map[string]int64{},
+		CacheHits:       n(p.cacheHits),
+		CacheMisses:     n(p.cacheMisses),
+		CacheEntries:    int(n(p.cacheEntries)),
+		JobsCoalesced:   n(p.coalesced),
+		JobsRejected:    n(p.jobsRejected),
+		DeadlineShed:    n(p.jobsShed),
+		QuotaRejected:   n(p.quotaRejected),
+		ChaosInjected:   n(p.chaosInjected),
+		CancelRequests:  n(p.cancels),
+		QueueDepth:      int(n(p.queueDepth)),
+		Workers:         int(n(p.workers)),
+		BusyWorkers:     int(n(p.workersBusy)),
+		CyclesSimulated: uint64(p.engCycles.Value()),
 
-		RepairJobs:         s.m.repairJobs,
-		RepairRounds:       s.m.repairRounds,
-		RepairMaskedStores: s.m.repairMaskedStores,
+		RepairJobs:         n(p.repairJobs),
+		RepairRounds:       n(p.repairRounds),
+		RepairMaskedStores: n(p.repairMasked),
 
-		StreamSubscribers: s.broker.Subscribers(),
-		StreamTopics:      s.broker.Topics(),
+		StreamSubscribers: int(n(p.streamSubs)),
+		StreamTopics:      int(n(p.streamTopics)),
+
+		StoreHits:        n(p.storeHits),
+		StoreEntries:     int(n(p.storeEntries)),
+		StoreBytes:       n(p.storeBytes),
+		StoreRecovered:   n(p.storeRecovered),
+		StoreQuarantined: n(p.storeQuarantined),
+		StorePuts:        n(p.storePuts),
+		StorePutErrors:   n(p.storePutErrors),
+		StoreEvictions:   n(p.storeEvictions),
 	}
-	for k, v := range s.m.byVerdict {
-		m.JobsByVerdict[k] = v
-	}
+	p.jobsCompleted.Each(func(labels []string, v float64) {
+		m.JobsByVerdict[labels[0]] = int64(v)
+		m.JobsCompleted += int64(v)
+	})
+	m.JobsSubmitted = n(p.jobsSubmitted) - m.JobsRejected - m.DeadlineShed
+	m.EngineRuns = m.JobsCompleted - m.RepairJobs + m.RepairRounds
+	s.mu.Lock()
+	m.Draining = s.draining
 	s.mu.Unlock()
-	if s.store != nil {
-		st := s.store.Stats()
-		m.StoreEntries = s.store.Len()
-		m.StoreBytes = s.store.Bytes()
-		m.StoreRecovered = st.Recovered
-		m.StoreQuarantined = st.Quarantined
-		m.StorePuts = st.Puts
-		m.StorePutErrors = st.PutErrors
-		m.StoreEvictions = st.Evictions
-	}
 	writeJSON(w, http.StatusOK, m)
 }

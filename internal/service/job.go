@@ -37,8 +37,9 @@ type job struct {
 	key string
 	// tgt is the processor target the job analyzes on (nil for repair
 	// jobs, which run on the server's default design).
-	tgt      *target.Target
-	img      *asm.Image
+	tgt *target.Target
+	img *asm.Image
+	// pol is the job's policy; a repair job's points into rspec.
 	pol      *glift.Policy
 	opt      glift.Options
 	deadline time.Duration
@@ -54,21 +55,19 @@ type job struct {
 	// event to the job's event stream (opt-in sampling; 0 disables). It
 	// never affects results, so it is not part of the job key.
 	streamTrace int
-	// mode selects the execution path (modeAnalyze or modeRepair); repair
-	// jobs carry their spec in rspec instead of img/pol.
+	// mode selects the execute step (modeAnalyze or modeRepair); repair
+	// jobs carry their spec in rspec instead of img.
 	mode  string
 	rspec *repair.Spec
 
 	mu        sync.Mutex
 	state     string
 	progress  glift.Progress
-	report    *glift.Report
-	rres      *repair.ResultJSON // repair jobs: the full repair payload
+	result    *cachedResult // set once the job is done
 	cacheHit  bool
 	coalesced int64 // extra submissions served by this execution
 	cancelled bool
 	created   time.Time
-	finished  time.Time
 }
 
 func (j *job) setState(st string) {
@@ -85,20 +84,11 @@ func (j *job) setProgress(p glift.Progress) {
 	j.mu.Unlock()
 }
 
-// setRepair attaches the completed repair payload; it must happen before
-// finish so waiters woken by the done channel see it.
-func (j *job) setRepair(rj *repair.ResultJSON) {
-	j.mu.Lock()
-	j.rres = rj
-	j.mu.Unlock()
-}
-
-// finish publishes the final report and wakes every waiter.
-func (j *job) finish(rep *glift.Report) {
+// finish publishes the final result and wakes every waiter.
+func (j *job) finish(c *cachedResult) {
 	j.mu.Lock()
 	j.state = stateDone
-	j.report = rep
-	j.finished = time.Now()
+	j.result = c
 	j.mu.Unlock()
 	close(j.done)
 }
@@ -281,11 +271,21 @@ func compileOptions(or *OptionsRequest) (*glift.Options, time.Duration, error) {
 		HardMemBytes:  or.HardMemBytes,
 		Workers:       1,
 	}
-	if or.DeadlineMS < 0 {
-		return nil, 0, fmt.Errorf("negative deadline_ms")
-	}
-	if or.StreamTrace < 0 {
-		return nil, 0, fmt.Errorf("negative stream_trace")
+	// A negative memory budget means "unlimited" to the engine, so a
+	// client could switch off the fail-closed memory ceiling that protects
+	// every other job in the process; budgets are the server's to relax.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"soft_mem_bytes", or.SoftMemBytes},
+		{"hard_mem_bytes", or.HardMemBytes},
+		{"deadline_ms", or.DeadlineMS},
+		{"stream_trace", int64(or.StreamTrace)},
+	} {
+		if f.v < 0 {
+			return nil, 0, fmt.Errorf("negative %s", f.name)
+		}
 	}
 	return opt, time.Duration(or.DeadlineMS) * time.Millisecond, nil
 }

@@ -16,9 +16,8 @@ type storeStats = store.Stats
 
 // promMetrics bundles every Prometheus series gliftd exports: the service
 // series (request latency, queue/worker/cache state, job outcomes) and the
-// engine series fed by each job's Progress stream. The JSON counters in
-// Server.m keep the legacy /metrics.json shape; these series are the
-// time-series view over the same events.
+// engine series fed by each job's Progress stream. They are the service's
+// only accounting: /metrics.json is rendered from them.
 type promMetrics struct {
 	reg *obs.Registry
 
@@ -206,6 +205,21 @@ func (ep *engineProgress) observe(p glift.Progress) {
 	if ep.next != nil {
 		ep.next(p)
 	}
+}
+
+// syncSampledSeries refreshes the series that are sampled at scrape time
+// rather than counted as events happen: the cache size, the store's
+// activity and size, and the event-stream state. The queue-depth gauge is
+// not among them; it is maintained at enqueue/dequeue transitions, because
+// sampling len(s.queue) here would race against concurrent senders and
+// receivers.
+func (s *Server) syncSampledSeries() {
+	s.mu.Lock()
+	s.prom.cacheEntries.Set(float64(s.cache.len()))
+	s.syncStoreMetricsLocked()
+	s.mu.Unlock()
+	s.prom.streamSubs.Set(float64(s.broker.Subscribers()))
+	s.prom.streamTopics.Set(float64(s.broker.Topics()))
 }
 
 // syncStoreMetricsLocked folds the store's cumulative activity counters

@@ -17,13 +17,12 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
 	"log/slog"
 	"net/http"
@@ -120,31 +119,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// counters aggregates service metrics; all fields are guarded by Server.mu.
-type counters struct {
-	submitted     int64
-	completed     int64
-	byVerdict     map[string]int64
-	cacheHits     int64
-	cacheMisses   int64
-	storeHits     int64
-	coalesced     int64
-	engineRuns    int64
-	rejected      int64
-	shed          int64
-	quotaRejected int64
-	chaosInjected int64
-	cancels       int64
-	cyclesTotal   uint64
-	busyWorkers   int
-	// Repair-mode activity: jobs executed, rounds run across them, and
-	// stores masked in their final patched builds.
-	repairJobs         int64
-	repairRounds       int64
-	repairMaskedStores int64
+// loadState is the queue and worker occupancy that admission (deadline
+// shedding) and Drain read; guarded by Server.mu. Every event count lives
+// in the metrics registry instead.
+type loadState struct {
 	// queueDepth tracks enqueue/dequeue transitions (never sampled from the
 	// channel, which would race against concurrent senders and receivers).
-	queueDepth int
+	queueDepth  int
+	busyWorkers int
 	// avgRunNanos is the completed-job duration EWMA pricing queue
 	// admission for deadline-aware shedding.
 	avgRunNanos float64
@@ -175,7 +157,7 @@ type Server struct {
 	nextID   uint64
 	closed   bool
 	draining bool
-	m        counters
+	load     loadState
 	prom     *promMetrics
 }
 
@@ -220,7 +202,6 @@ func NewOn(d *mcu.Design, cfg Config) (*Server, error) {
 	if cfg.TenantRate > 0 {
 		s.quotas = newTenantQuotas(cfg.TenantRate, cfg.TenantBurst)
 	}
-	s.m.byVerdict = make(map[string]int64)
 	s.mux = http.NewServeMux()
 	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
@@ -237,10 +218,6 @@ func (s *Server) Store() *store.Store { return s.store }
 // Handler returns the HTTP API, instrumented with the request-latency
 // histogram.
 func (s *Server) Handler() http.Handler { return s.instrument(s.mux) }
-
-// Metrics returns the Prometheus metrics registry (the hook for hosts that
-// serve or push the registry themselves).
-func (s *Server) Metrics() *obs.Registry { return s.prom.reg }
 
 // Close stops accepting jobs, cancels everything in flight and waits for
 // the worker pool to drain.
@@ -278,7 +255,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	defer tick.Stop()
 	for {
 		s.mu.Lock()
-		idle := s.m.queueDepth == 0 && s.m.busyWorkers == 0
+		idle := s.load.queueDepth == 0 && s.load.busyWorkers == 0
 		s.mu.Unlock()
 		if idle {
 			return nil
@@ -333,34 +310,45 @@ func (s *Server) designFor(tgt *target.Target) (*mcu.Design, [sha256.Size]byte) 
 // wall-time knobs (Options.Workers/Backend) do not.
 func (s *Server) jobKey(tgt *target.Target, img *asm.Image, pol *glift.Policy, opt *glift.Options, deadline time.Duration) string {
 	_, fp := s.designFor(tgt)
-	h := sha256.New()
+	h := keyHash{sha256.New()}
 	h.Write([]byte(tgt.Name))
 	h.Write([]byte{0})
 	h.Write(fp[:])
-	put := func(v any) {
-		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
-			panic(fmt.Sprintf("service: hashing job key: %v", err))
-		}
-	}
-	put(img.Entry)
-	put(uint32(len(img.Segments)))
+	h.put(img.Entry)
+	h.put(uint32(len(img.Segments)))
 	for _, seg := range img.Segments {
-		put(seg.Addr)
-		put(uint32(len(seg.Words)))
-		put(seg.Words)
+		h.put(seg.Addr)
+		h.put(uint32(len(seg.Words)))
+		h.put(seg.Words)
 	}
 	h.Write(pol.CanonicalJSON())
-	// Only the fields that can change the report are hashed. Workers and
-	// Backend cannot (the differential suites in internal/glift enforce
-	// byte-identical reports across both), and every job here runs
-	// sequentially on the compiled backend anyway.
+	return h.sum(opt, deadline)
+}
+
+// keyHash accumulates a job's content address; fixed-size values are
+// hashed little-endian.
+type keyHash struct{ hash.Hash }
+
+func (h keyHash) put(v any) {
+	if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+		panic(fmt.Sprintf("service: hashing job key: %v", err))
+	}
+}
+
+// sum ends every key, of either mode, with the engine options and the
+// deadline, and returns it in hex. Only the options that can change the
+// report are hashed. Workers and Backend cannot (the differential suites
+// in internal/glift and internal/service enforce byte-identical reports
+// across both), and every job here runs sequentially on the compiled
+// backend anyway.
+func (h keyHash) sum(opt *glift.Options, deadline time.Duration) string {
 	n := opt.Normalized()
-	put(n.MaxCycles)
-	put(n.MaxPathCycles)
-	put(int64(n.WidenAfter))
-	put(n.SoftMemBytes)
-	put(n.HardMemBytes)
-	put(int64(deadline))
+	h.put(n.MaxCycles)
+	h.put(n.MaxPathCycles)
+	h.put(int64(n.WidenAfter))
+	h.put(n.SoftMemBytes)
+	h.put(n.HardMemBytes)
+	h.put(int64(deadline))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -371,23 +359,20 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
 		s.mu.Lock()
-		s.m.queueDepth--
-		s.m.busyWorkers++
+		s.load.queueDepth--
+		s.load.busyWorkers++
 		s.mu.Unlock()
 		s.prom.queueDepth.Add(-1)
 		s.prom.workersBusy.Add(1)
-		if j.mode == modeRepair {
-			s.runRepairJob(j)
-		} else {
-			s.runJob(j)
-		}
+		s.runJob(j)
 	}
 }
 
-// runJob executes one job on the engine and publishes its result — to the
-// job record (waiters), the job's event stream (terminal verdict event with
-// per-stage latencies), the per-stage latency histograms, and the
-// structured log. The engine run carries pprof labels (job id, policy), so
+// runJob executes one job of either mode and publishes its result — to
+// the job record (waiters), the job's event stream (terminal verdict event
+// with per-stage latencies), the per-stage latency histograms, and the
+// structured log. The mode's execute step (analyze or runRepair) is the
+// job's engine-run stage; it runs under pprof labels (job id, policy), so
 // CPU and heap profiles taken through gliftd's -pprof endpoint attribute
 // samples to the job that burned them.
 func (s *Server) runJob(j *job) {
@@ -403,90 +388,103 @@ func (s *Server) runJob(j *job) {
 		defer cancel()
 	}
 	opt := j.opt
-	opt.Progress = (&engineProgress{m: s.prom, next: func(p glift.Progress) {
-		j.setProgress(p)
-		s.publish(j.id, EventProgress, progressJSON(p))
-	}}).observe
 	if j.streamTrace > 0 {
 		opt.Tracer = s.traceSampler(j, j.streamTrace)
 	}
-
-	var rep *glift.Report
-	engStart := time.Now()
-	design, _ := s.designFor(j.tgt)
-	eng, err := glift.NewEngineOn(design, j.img, j.pol, &opt)
-	if err != nil {
-		// Policy validation happens at submission time, so this is an
-		// internal construction failure; report it fail-closed.
-		rep = &glift.Report{Policy: j.pol.Name, Err: &glift.RunError{Reason: err.Error()}}
-	} else {
-		pprof.Do(ctx, pprof.Labels("glift_job", j.id, "glift_policy", j.pol.Name),
-			func(ctx context.Context) { rep = eng.RunContext(ctx) })
+	execute := s.analyze
+	if j.mode == modeRepair {
+		execute = s.runRepair
 	}
+
+	var res *cachedResult
+	engStart := time.Now()
+	pprof.Do(ctx, pprof.Labels("glift_job", j.id, "glift_policy", j.pol.Name),
+		func(ctx context.Context) { res = execute(ctx, j, &opt) })
 	engineRun := time.Since(engStart)
 	s.prom.stages.Observe(StageEngineRun, engineRun)
-	verdict := rep.Verdict()
 
 	// Persist before publishing: once any waiter sees the completed result,
 	// the result has been fsynced, so an acknowledged verdict survives
-	// kill -9. Only completed explorations persist — like the in-memory
-	// cache, Incomplete/InternalError reflect the run, not the inputs.
+	// kill -9.
+	completed := res.completed()
 	var persistDur time.Duration
-	if verdict == glift.Verified || verdict == glift.Violations {
+	if completed {
 		pStart := time.Now()
-		s.persist(j.key, rep)
+		s.persist(j.key, res)
 		persistDur = time.Since(pStart)
 		s.prom.stages.Observe(StagePersist, persistDur)
 	}
 
 	s.mu.Lock()
-	s.m.busyWorkers--
-	s.m.engineRuns++
-	s.m.completed++
-	s.m.byVerdict[verdict.String()]++
-	s.m.cyclesTotal += rep.Stats.Cycles
+	s.load.busyWorkers--
 	s.observeRunLocked(time.Since(started))
 	delete(s.inflight, j.key)
-	if verdict == glift.Verified || verdict == glift.Violations {
-		s.cache.put(j.key, &cachedResult{rep: rep})
+	if completed {
+		s.cache.put(j.key, res)
 	}
 	s.mu.Unlock()
+	verdict := res.rep.Verdict().String()
 	s.prom.workersBusy.Add(-1)
-	s.prom.jobsCompleted.With(verdict.String()).Inc()
-	s.prom.runDur.With(verdict.String()).Observe(float64(rep.Stats.WallNanos) / 1e9)
-	s.finishJob(j, rep, false, StageTimesJSON{
+	s.prom.jobsCompleted.With(verdict).Inc()
+	s.prom.runDur.With(verdict).Observe(float64(res.rep.Stats.WallNanos) / 1e9)
+	s.finishJob(j, res, StageTimesJSON{
 		QueueWaitNS: queueWait.Nanoseconds(),
 		EngineRunNS: engineRun.Nanoseconds(),
 		PersistNS:   persistDur.Nanoseconds(),
 		TotalNS:     time.Since(j.created).Nanoseconds(),
 	})
-	s.log.Info("job completed",
-		"job_id", j.id, "tenant", j.tenant, "verdict", verdict.String(),
-		"cycles", rep.Stats.Cycles, "queue_wait_ms", queueWait.Milliseconds(),
-		"engine_run_ms", engineRun.Milliseconds())
 }
 
-// persist writes one completed report durably. A store failure (cap
+// analyze is the execute step of an analysis job: one engine run.
+func (s *Server) analyze(ctx context.Context, j *job, opt *glift.Options) *cachedResult {
+	opt.Progress = s.progressHook(j)
+	design, _ := s.designFor(j.tgt)
+	eng, err := glift.NewEngineOn(design, j.img, j.pol, opt)
+	if err != nil {
+		// Policy validation happens at submission time, so this is an
+		// internal construction failure; report it fail-closed.
+		return failedResult(j.pol.Name, err)
+	}
+	return &cachedResult{rep: eng.RunContext(ctx)}
+}
+
+// failedResult reports an execute step that could not run to a report as
+// the fail-closed InternalError verdict.
+func failedResult(policy string, err error) *cachedResult {
+	return &cachedResult{rep: &glift.Report{Policy: policy, Err: &glift.RunError{Reason: err.Error()}}}
+}
+
+// progressHook returns the Options.Progress hook for one engine run of j:
+// it feeds the engine series and the job's live progress and event stream.
+// Each run needs its own hook, because the cumulative→delta conversion
+// assumes one engine run per observer.
+func (s *Server) progressHook(j *job) func(glift.Progress) {
+	return (&engineProgress{m: s.prom, next: func(p glift.Progress) {
+		j.setProgress(p)
+		s.publish(j.id, EventProgress, progressJSON(p))
+	}}).observe
+}
+
+// persist writes one completed result durably. A store failure (cap
 // exceeded, disk error) is absorbed: the result stays served from memory
 // and is simply not durable, which the store's own PutErrors counter
 // surfaces — durability degrades, correctness never does.
-func (s *Server) persist(key string, rep *glift.Report) {
+func (s *Server) persist(key string, c *cachedResult) {
 	if s.store == nil {
 		return
 	}
-	payload, err := json.Marshal(rep.JSON())
+	payload, err := c.payload()
 	if err != nil {
 		return
 	}
 	s.store.Put(key, payload) //nolint:errcheck // see above; counted in store stats
 }
 
-// lookupStore probes the persistent store for a completed report. A hit is
-// trusted only after full reconstruction: the payload must parse, rebuild
-// into a report, and re-serialize byte-identically — the same bytes a cold
-// engine run would produce. Any failure quarantines the record and reads
-// as a miss, extending the fail-closed contract to storage.
-func (s *Server) lookupStore(key string) *glift.Report {
+// lookupStore probes the persistent store for a completed result of the
+// given mode. Any record that fails decodeResult's integrity checks is
+// quarantined and reads as a miss, extending the fail-closed contract to
+// storage.
+func (s *Server) lookupStore(key, mode string) *cachedResult {
 	if s.store == nil {
 		return nil
 	}
@@ -494,20 +492,10 @@ func (s *Server) lookupStore(key string) *glift.Report {
 	if !ok {
 		return nil
 	}
-	var rj glift.ReportJSON
-	if err := json.Unmarshal(payload, &rj); err != nil {
-		s.store.Quarantine(key)
-		return nil
-	}
-	rep, err := rj.Report()
+	c, err := decodeResult(mode, payload)
 	if err != nil {
 		s.store.Quarantine(key)
 		return nil
 	}
-	canon, err := json.Marshal(rep.JSON())
-	if err != nil || !bytes.Equal(canon, payload) {
-		s.store.Quarantine(key)
-		return nil
-	}
-	return rep
+	return c
 }

@@ -454,6 +454,18 @@ func TestServiceBadRequests(t *testing.T) {
 			t.Errorf("options.%s: code=%d error=%q, want 400 naming the field", knob.name, code, e.Error)
 		}
 	}
+	// A negative memory budget would read as "unlimited" in the engine and
+	// switch off the fail-closed ceiling for the whole daemon; both budgets
+	// are rejected by name, in analysis and repair mode alike.
+	for _, field := range []string{"soft_mem_bytes", "hard_mem_bytes"} {
+		for _, mode := range []string{"", "repair"} {
+			body := fmt.Sprintf(`{"source":%q,"mode":%q,"policy":{"name":"p"},"options":{%q:-1}}`, cleanSrc, mode, field)
+			code, msg := postBody(body)
+			if code != http.StatusBadRequest || !strings.Contains(msg, "negative "+field) {
+				t.Errorf("options.%s=-1 (mode %q): code=%d body=%q, want 400 naming the field", field, mode, code, msg)
+			}
+		}
+	}
 	if code, _ := c.do("GET", "/jobs/job-999", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: code=%d", code)
 	}

@@ -91,6 +91,13 @@ func BackendNames() []string {
 	return names
 }
 
+// BackendHelp renders the registered backend names for flag help, with the
+// registry's first entry marked as the default.
+func BackendHelp() string {
+	names := BackendNames()
+	return names[0] + " (default), " + strings.Join(names[1:], ", ")
+}
+
 // ParseBackend resolves a backend name from the registry: empty selects the
 // default (compiled); "interpreter" is accepted as an alias for "interp".
 // Unknown names error with the full list of valid ones.
