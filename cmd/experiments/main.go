@@ -199,8 +199,7 @@ func figure9() {
 		if err != nil {
 			fatal(err)
 		}
-		img.Place(func(a, w uint16) { sys.ROM.StoreWord(a, sim.ConcreteWord(w)) })
-		sys.SetResetVector(img.Entry)
+		sys.LoadImage(img)
 		sys.SetPortIn(0, sim.Word{XM: 0xffff, TT: 0xffff}) // tainted unknown input
 		sys.PowerOn()
 		for i := 0; i < 30; i++ {

@@ -52,7 +52,6 @@ import (
 	"repro/internal/glift"
 	"repro/internal/obs"
 	"repro/internal/repair"
-	"repro/internal/sim"
 	"repro/internal/target"
 )
 
@@ -85,7 +84,6 @@ func main() {
 	traceN := flag.Int("taint-trace", 0, "print the first N per-cycle tainted-state entries")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON on stdout (the gliftd wire shape)")
 	workers := flag.Int("workers", 0, "engine exploration workers (0: GOMAXPROCS, 1: sequential, capped at GOMAXPROCS); the report is identical either way")
-	backendName := flag.String("backend", "", "gate-evaluation backend: "+sim.BackendHelp()+"; the report is byte-identical either way")
 	verbose := flag.Bool("v", false, "print exploration statistics")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -122,11 +120,7 @@ func main() {
 		fatal(err)
 	}
 
-	backend, err := sim.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
-	opts := &glift.Options{MaxCycles: *maxCycles, SoftMemBytes: *softMem, HardMemBytes: *hardMem, Workers: *workers, Backend: backend}
+	opts := &glift.Options{MaxCycles: *maxCycles, SoftMemBytes: *softMem, HardMemBytes: *hardMem, Workers: *workers}
 	var rec *glift.TraceRecorder
 	if *traceN > 0 {
 		rec = &glift.TraceRecorder{Max: *traceN}

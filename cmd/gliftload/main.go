@@ -1,4 +1,4 @@
-// gliftload is the load and chaos harness for gliftd. It has two modes:
+// gliftload is the load and chaos harness for gliftd. It has three modes:
 //
 // Load mode (default) hammers a running daemon with a mixed corpus of
 // verifying and violating programs and reports throughput and the
@@ -20,17 +20,6 @@
 // faults, exiting non-zero on any integrity violation:
 //
 //	gliftload -chaos -gliftd ./gliftd -n 96 -kills 3
-//
-// Repair mode (-repair) is the CLI/daemon repair differential: every
-// scaffold benchmark is run through the shared round loop in-process (the
-// exact code cmd/secure430 executes) and submitted to the daemon as a
-// repair job, and the two results must agree — byte-identical patched
-// assembly, identical per-round counts, identical final report modulo
-// wall-clock stats — with an identical resubmission served byte-identically
-// from the cache. Targets a running daemon (-addr) or spawns its own
-// (-gliftd), exiting non-zero on any divergence:
-//
-//	gliftload -repair -gliftd ./gliftd -c 4
 //
 // The three chaos phases, each checked against an in-process cold-run
 // reference (report bytes normalized over stats.wall_ns/peak_mem_bytes,
@@ -67,9 +56,7 @@ import (
 	"time"
 
 	"repro/internal/asm"
-	"repro/internal/bench"
 	"repro/internal/glift"
-	"repro/internal/repair"
 	"repro/internal/service"
 	"repro/internal/service/client"
 )
@@ -86,8 +73,6 @@ var (
 	killGap  = flag.Duration("kill-interval", 250*time.Millisecond, "chaos: pause between kill cycles")
 	storeDir = flag.String("store-dir", "", "chaos: store directory (default: a fresh temp dir)")
 	verbose  = flag.Bool("v", false, "log every acknowledgment")
-
-	repairMode = flag.Bool("repair", false, "repair mode: run the benchmark repair differential against the daemon")
 
 	stream      = flag.Bool("stream", false, "stream mode: consume each job's SSE event stream to its verdict")
 	p99Budget   = flag.Duration("p99-budget", 0, "stream mode: fail if submit-to-verdict p99 exceeds this (0: no gate)")
@@ -109,12 +94,6 @@ func main() {
 			os.Exit(2)
 		}
 		err = runChaos()
-	case *repairMode:
-		if *addr == "" && *gliftd == "" {
-			fmt.Fprintln(os.Stderr, "gliftload: -repair requires -addr (running daemon) or -gliftd (binary to spawn)")
-			os.Exit(2)
-		}
-		err = runRepair()
 	case *addr != "" && *stream:
 		err = runStream(*addr)
 	case *addr != "":
@@ -422,185 +401,6 @@ func runStream(base string) error {
 				p99Total.Round(time.Microsecond), *p99Budget)
 		}
 		fmt.Printf("gliftload: p99 gate: %s within budget %s\n", p99Total.Round(time.Microsecond), *p99Budget)
-	}
-	return nil
-}
-
-// ---- repair mode -----------------------------------------------------------
-
-// repairProg is one repair-differential case: a benchmark system as a
-// repair-job submission plus its name for reporting.
-type repairProg struct {
-	name string
-	req  service.JobRequest
-}
-
-// repairCorpus builds a repair submission for every scaffold benchmark —
-// the full unarmed system text under the evaluation policy, the tainted
-// task range given symbolically so the loop re-resolves it each round.
-func repairCorpus() []repairProg {
-	var progs []repairProg
-	for _, b := range bench.All() {
-		progs = append(progs, repairProg{
-			name: b.Name,
-			req: service.JobRequest{
-				Source: bench.Source(b),
-				Mode:   "repair",
-				Policy: service.PolicyRequest{
-					Name:            "integrity",
-					TaintedInPorts:  []int{0},
-					TaintedOutPorts: []int{1},
-					TaintedData:     []service.RangeRequest{{Lo: bench.PartLo, Hi: bench.PartLo + bench.PartSize}},
-				},
-				Repair: &service.RepairRequest{TaintedCode: []string{"task_start:task_end"}},
-			},
-		})
-	}
-	return progs
-}
-
-// repairReference runs the shared round loop in-process for one benchmark —
-// the same call chain cmd/secure430 makes — and returns its wire form.
-func repairReference(name string, req *service.JobRequest) (*repair.ResultJSON, error) {
-	spec := &repair.Spec{
-		Source: req.Source,
-		Policy: glift.Policy{
-			Name:            req.Policy.Name,
-			TaintedInPorts:  req.Policy.TaintedInPorts,
-			TaintedOutPorts: req.Policy.TaintedOutPorts,
-			TaintedData:     []glift.AddrRange{{Lo: bench.PartLo, Hi: bench.PartLo + bench.PartSize}},
-		},
-		CodeRanges: req.Repair.TaintedCode,
-		Options:    &glift.Options{Workers: 1},
-	}
-	res, err := repair.Run(context.Background(), spec)
-	if err != nil {
-		return nil, fmt.Errorf("reference %s: %w", name, err)
-	}
-	rj := res.JSON()
-	return &rj, nil
-}
-
-// normalizeRepair strips the run-measurement fields from a repair payload so
-// independently produced runs compare equal; everything else — patched
-// assembly, per-round counts, overheads, the report — must match.
-func normalizeRepair(raw json.RawMessage) ([]byte, error) {
-	if len(raw) == 0 {
-		return nil, fmt.Errorf("empty repair payload")
-	}
-	var rj repair.ResultJSON
-	if err := json.Unmarshal(raw, &rj); err != nil {
-		return nil, err
-	}
-	rj.Report.Stats.WallNanos = 0
-	rj.Report.Stats.PeakMemBytes = 0
-	return json.Marshal(&rj)
-}
-
-func runRepair() error {
-	base := *addr
-	if base == "" {
-		a, err := freeAddr()
-		if err != nil {
-			return err
-		}
-		dir, err := os.MkdirTemp("", "gliftload-repair-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		d := &daemon{bin: *gliftd, addr: a, args: []string{
-			"-workers", "2", "-queue", "64", "-store-dir", dir,
-		}}
-		if err := d.start(); err != nil {
-			return err
-		}
-		defer d.kill9()
-		base = d.base()
-		fmt.Printf("gliftload: [repair] spawned daemon on %s, store %s\n", a, dir)
-	}
-
-	progs := repairCorpus()
-	fmt.Printf("gliftload: [repair] differential over %d benchmarks, %d submitters\n", len(progs), *conc)
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < *conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl := client.New(client.Config{BaseURL: base, MaxAttempts: 20,
-				HTTPClient: &http.Client{Timeout: 10 * time.Minute}})
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(progs) {
-					return
-				}
-				p := &progs[i]
-				ref, err := repairReference(p.name, &p.req)
-				if err != nil {
-					violate("[repair] %v", err)
-					continue
-				}
-				refRaw, err := json.Marshal(ref)
-				if err != nil {
-					violate("[repair] %s: %v", p.name, err)
-					continue
-				}
-				wantNorm, err := normalizeRepair(refRaw)
-				if err != nil {
-					violate("[repair] %s: %v", p.name, err)
-					continue
-				}
-
-				res, err := cl.Submit(context.Background(), &p.req, true)
-				if err != nil {
-					violate("[repair] %s: submit: %v", p.name, err)
-					continue
-				}
-				if res.Status.Repair == nil {
-					violate("[repair] %s: no repair payload (HTTP %d)", p.name, res.Code)
-					continue
-				}
-				if got, want := res.Status.Repair.PatchedAsm, ref.PatchedAsm; got != want {
-					violate("[repair] %s: patched assembly differs from the CLI loop", p.name)
-				}
-				gotNorm, err := normalizeRepair(res.RawRepair)
-				if err != nil {
-					violate("[repair] %s: %v", p.name, err)
-					continue
-				}
-				if !bytes.Equal(gotNorm, wantNorm) {
-					violate("[repair] %s: payload differs beyond wall time\n  daemon %s\n  cli    %s",
-						p.name, gotNorm, wantNorm)
-					continue
-				}
-				// An identical resubmission must come back from the cache,
-				// byte-for-byte as first served.
-				res2, err := cl.Submit(context.Background(), &p.req, true)
-				if err != nil {
-					violate("[repair] %s: resubmit: %v", p.name, err)
-					continue
-				}
-				if !res2.Status.CacheHit {
-					violate("[repair] %s: identical resubmission re-ran the loop", p.name)
-				}
-				if !bytes.Equal(res.RawRepair, res2.RawRepair) {
-					violate("[repair] %s: cached repair bytes differ from first serving", p.name)
-				}
-				if *verbose {
-					fmt.Printf("  %-10s %d rounds, verdict %s, reduction %.1fx (HTTP %d)\n",
-						p.name, len(ref.Rounds), ref.Report.Verdict, ref.ReductionFactor, res.Code)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	fmt.Printf("gliftload: [repair] %d benchmarks differentially verified in %s\n",
-		len(progs), time.Since(start).Round(time.Millisecond))
-	if n := violations.Load(); n > 0 {
-		return fmt.Errorf("%d repair differential violations", n)
 	}
 	return nil
 }

@@ -20,6 +20,7 @@ import (
 	"os"
 	"os/signal"
 
+	"repro/internal/bench"
 	"repro/internal/mcu"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -34,7 +35,6 @@ func main() {
 	seed := flag.Uint("seed", 0xACE1, "LFSR seed for port inputs")
 	vcdPath := flag.String("vcd", "", "write a VCD waveform here")
 	taintP1 := flag.Bool("taint-p1", false, "drive P1IN as tainted unknown (symbolic)")
-	backendName := flag.String("backend", "", "gate-evaluation backend: "+sim.BackendHelp()+"; results are identical either way")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: run430 [flags] app.s43")
@@ -53,19 +53,14 @@ func main() {
 		fatal(err)
 	}
 
-	backend, err := sim.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
 	d := tgt.Design()
-	sys, err := mcu.NewSystemBackend(d, backend)
+	sys, err := mcu.NewSystem(d)
 	if err != nil {
 		fatal(err)
 	}
 	zeros := make([]byte, sys.RAM.Size())
 	sys.RAM.Fill(sys.RAM.Base(), zeros)
-	img.Place(func(a, w uint16) { sys.ROM.StoreWord(a, sim.ConcreteWord(w)) })
-	sys.SetResetVector(img.Entry)
+	sys.LoadImage(img)
 
 	if *vcdPath != "" {
 		f, err := os.Create(*vcdPath)
@@ -92,12 +87,7 @@ func main() {
 		defer cancel()
 	}
 
-	rng := uint16(*seed) | 1
-	next := func() uint16 {
-		bit := (rng>>0 ^ rng>>2 ^ rng>>3 ^ rng>>5) & 1
-		rng = rng>>1 | bit<<15
-		return rng
-	}
+	rng := bench.LFSR(*seed | 1)
 	sys.PowerOn()
 	insns := uint64(0)
 	for sys.Cycle < *cycles {
@@ -111,7 +101,7 @@ func main() {
 		case *p1 >= 0:
 			sys.SetPortIn(0, sim.ConcreteWord(uint16(*p1)))
 		default:
-			sys.SetPortIn(0, sim.ConcreteWord(next()))
+			sys.SetPortIn(0, sim.ConcreteWord(rng.Next()))
 		}
 		ci := sys.EvalCycle(nil)
 		if !ci.PmemOK {

@@ -197,3 +197,30 @@ func TestPolicyShape(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEvaluateProgressSeesEveryAnalysis: a Progress hook in AnalysisOpt
+// observes every analysis the pipeline runs, each ending in one Done
+// snapshot. binSearch needs at least three: the unmodified system, the
+// re-verification of its masked stores, and the watchdog-armed variant.
+func TestEvaluateProgressSeesEveryAnalysis(t *testing.T) {
+	var mu sync.Mutex
+	done := 0
+	opt := &Options{AnalysisOpt: &glift.Options{Progress: func(p glift.Progress) {
+		if p.Done {
+			mu.Lock()
+			done++
+			mu.Unlock()
+		}
+	}}}
+	ev, err := Evaluate(ByName("binSearch"), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.With.Masked == 0 || !ev.With.Watchdog {
+		t.Fatalf("binSearch: want masked stores and an armed watchdog, got %d masked, watchdog %v",
+			ev.With.Masked, ev.With.Watchdog)
+	}
+	if done < 3 {
+		t.Errorf("progress hook saw %d finished analyses, want at least 3", done)
+	}
+}

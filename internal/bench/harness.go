@@ -5,21 +5,23 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/asm"
 	"repro/internal/glift"
 	"repro/internal/mcu"
+	"repro/internal/repair"
 	"repro/internal/sim"
-	"repro/internal/transform"
 )
 
-// lfsr is the deterministic input-sample generator for concrete runs.
-type lfsr uint16
+// LFSR is the deterministic port-sample generator for concrete runs (the
+// benchmark measurements, the RTOS use case and run430): a 16-bit Fibonacci
+// LFSR. Seed it with an odd value; zero is its fixed point.
+type LFSR uint16
 
-func (l *lfsr) next() uint16 {
+// Next advances the register one step and returns its new state.
+func (l *LFSR) Next() uint16 {
 	v := uint16(*l)
 	bit := (v>>0 ^ v>>2 ^ v>>3 ^ v>>5) & 1
 	v = v>>1 | bit<<15
-	*l = lfsr(v)
+	*l = LFSR(v)
 	return v
 }
 
@@ -60,8 +62,7 @@ func MeasureContext(ctx context.Context, bt *Built, seed uint16, maxCycles uint6
 	}
 	zeros := make([]byte, sys.RAM.Size())
 	sys.RAM.Fill(sys.RAM.Base(), zeros)
-	bt.Img.Place(func(a, w uint16) { sys.ROM.StoreWord(a, sim.ConcreteWord(w)) })
-	sys.SetResetVector(bt.Img.Entry)
+	sys.LoadImage(bt.Img)
 
 	taskAddr, err := bt.Img.ResolveSymbol("task")
 	if err != nil {
@@ -72,7 +73,7 @@ func MeasureContext(ctx context.Context, bt *Built, seed uint16, maxCycles uint6
 		return nil, fmt.Errorf("bench %s (%s): %w", bt.Bench.Name, bt.Variant, err)
 	}
 
-	rng := lfsr(seed | 1)
+	rng := LFSR(seed | 1)
 	sys.PowerOn()
 
 	type mark struct {
@@ -85,7 +86,7 @@ func MeasureContext(ctx context.Context, bt *Built, seed uint16, maxCycles uint6
 		if sys.Cycle&1023 == 0 && ctx.Err() != nil {
 			return nil, fmt.Errorf("bench %s (%s): measurement cancelled at cycle %d: %w", bt.Bench.Name, bt.Variant, sys.Cycle, ctx.Err())
 		}
-		sys.SetPortIn(0, sim.ConcreteWord(rng.next()))
+		sys.SetPortIn(0, sim.ConcreteWord(rng.Next()))
 		ci := sys.EvalCycle(nil)
 		if !ci.PmemOK {
 			return nil, fmt.Errorf("bench %s (%s): PC unknown at cycle %d", bt.Bench.Name, bt.Variant, sys.Cycle)
@@ -191,9 +192,9 @@ func (o *Options) defaults() Options {
 	return out
 }
 
-// Evaluate runs the full pipeline for one benchmark: analyze the unmodified
-// system, derive both protected variants, re-verify the analysis-guided one
-// and measure all three concretely.
+// Evaluate runs the full pipeline for one benchmark: run the repair
+// toolflow on the unmodified system, derive both protected variants, verify
+// the analysis-guided one and measure all three concretely.
 func Evaluate(b *Benchmark, opt *Options) (*Evaluation, error) {
 	return EvaluateContext(context.Background(), b, opt)
 }
@@ -207,15 +208,11 @@ func EvaluateContext(ctx context.Context, b *Benchmark, opt *Options) (*Evaluati
 	// A cancelled symbolic exploration returns a partial report with the
 	// Incomplete verdict rather than an error; surface the cancellation as
 	// an error here so batch pipelines do not tabulate truncated results.
-	analyze := func(img *asm.Image, pol *glift.Policy) (*glift.Report, error) {
-		rep, err := glift.AnalyzeContext(ctx, img, pol, o.AnalysisOpt)
-		if err != nil {
-			return nil, err
-		}
+	cancelled := func() error {
 		if ctx.Err() != nil {
-			return nil, fmt.Errorf("bench %s: analysis cancelled: %w", b.Name, ctx.Err())
+			return fmt.Errorf("bench %s: analysis cancelled: %w", b.Name, ctx.Err())
 		}
-		return rep, nil
+		return nil
 	}
 
 	var err error
@@ -227,19 +224,38 @@ func EvaluateContext(ctx context.Context, b *Benchmark, opt *Options) (*Evaluati
 	if err != nil {
 		return nil, err
 	}
-	ev.UnmodReport, err = analyze(ev.Unmod.Img, ev.Unmod.Policy)
+	// Round 0 of the toolflow analyzes the unmodified system; the later
+	// rounds re-verify it with the masks found so far.
+	res, err := repair.Run(ctx, &repair.Spec{
+		Source:     Source(b),
+		Policy:     *ev.Unmod.Policy,
+		CodeRanges: []string{"task_start:task_end"},
+		Partition:  partition,
+		Options:    o.AnalysisOpt,
+	})
 	if err != nil {
 		return nil, err
 	}
+	if err := cancelled(); err != nil {
+		return nil, err
+	}
+	ev.UnmodReport = res.Rounds[0].Report
 
 	task := ev.UnmodMeasure.TaskCycles
-	ev.With, err = BuildProtected(b, WithAnalysis, ev.UnmodReport, ev.Unmod, task)
+	ev.With, err = BuildProtected(b, WithAnalysis, res, ev.Unmod, task)
 	if err != nil {
 		return nil, err
 	}
-	ev.WithReport, err = analyze(ev.With.Img, ev.With.Policy)
-	if err != nil {
-		return nil, err
+	// The toolflow verified the unarmed program; arming the watchdog
+	// changes the system code, so the armed variant is verified once more.
+	ev.WithReport = res.Report
+	if ev.With.Watchdog {
+		if ev.WithReport, err = glift.AnalyzeContext(ctx, ev.With.Img, ev.With.Policy, o.AnalysisOpt); err != nil {
+			return nil, err
+		}
+		if err := cancelled(); err != nil {
+			return nil, err
+		}
 	}
 	ev.Always, err = BuildProtected(b, AlwaysOn, nil, ev.Unmod, task)
 	if err != nil {
@@ -349,5 +365,3 @@ func ReductionFactor(rows []Table3Row) float64 {
 	}
 	return sa / sw
 }
-
-var _ = transform.WdtPlan{}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/glift"
+	"repro/internal/repair"
 	"repro/internal/transform"
 )
 
@@ -94,8 +95,8 @@ func buildSource(b *Benchmark, armed bool, wdtval uint16) string {
 }
 
 // Source is the unarmed full system text for a benchmark — the program the
-// repair toolflow (secure430 and gliftd repair jobs) takes as input. The
-// differential suites feed the same text to both paths.
+// repair toolflow (EvaluateContext, secure430 and gliftd repair jobs) takes
+// as input. The differential suites feed the same text to all of them.
 func Source(b *Benchmark) string {
 	return buildSource(b, false, 0)
 }
@@ -115,17 +116,12 @@ func policyFor(img *asm.Image) *glift.Policy {
 	}
 }
 
-// Building a system is pure in its source text, but the evaluation
-// pipeline used to rebuild the same text over and over: the unmodified
-// image was reassembled for every measurement and variant derivation, and
-// each repair round re-parsed an identical scaffold. Both are memoized
-// here. The unmodified Built is shared read-only per benchmark; parsed
-// scaffolds are cached by source text with callers handed fresh slice
-// copies, since mask insertion relabels statements.
+// The unmodified system is pure in its source text, and every measurement
+// and variant derivation starts from it, so it is assembled once per
+// benchmark and shared read-only.
 var (
 	unmodMu    sync.Mutex
 	unmodCache = map[string]*Built{}
-	parseCache sync.Map // source text -> []asm.Stmt (never mutated)
 )
 
 // BuildUnmodified assembles the original system once per benchmark and
@@ -149,20 +145,6 @@ func BuildUnmodified(b *Benchmark) (*Built, error) {
 	return bt, nil
 }
 
-// parseScaffold parses a system source through the cache, returning a copy
-// the caller may extend or relabel freely.
-func parseScaffold(src string) ([]asm.Stmt, error) {
-	if cached, ok := parseCache.Load(src); ok {
-		return append([]asm.Stmt(nil), cached.([]asm.Stmt)...), nil
-	}
-	stmts, err := asm.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	parseCache.Store(src, stmts)
-	return append([]asm.Stmt(nil), stmts...), nil
-}
-
 // taskStmtOffset finds the statement index of the "task" label.
 func taskStmtOffset(stmts []asm.Stmt) (int, error) {
 	for i := range stmts {
@@ -176,10 +158,11 @@ func taskStmtOffset(stmts []asm.Stmt) (int, error) {
 // buildVariant assembles a variant from the set of flagged source lines
 // (statements carry their original source line numbers through mask
 // insertion, since inserted statements have Line 0; the armed and unarmed
-// scaffolds occupy the same number of source lines).
+// scaffolds occupy the same number of source lines, so a line found on one
+// names the same store on the other).
 func buildVariant(b *Benchmark, v Variant, armed bool, plan transform.WdtPlan, flaggedLines map[int]bool) (*Built, error) {
 	src := buildSource(b, armed, plan.WDTCTLValue())
-	stmts, err := parseScaffold(src)
+	stmts, err := asm.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: %w", b.Name, err)
 	}
@@ -206,82 +189,44 @@ func buildVariant(b *Benchmark, v Variant, armed bool, plan transform.WdtPlan, f
 	}, nil
 }
 
-// BuildProtected derives a protected variant.
+// BuildProtected derives a protected variant of the unmodified system.
 //
-// WithAnalysis runs the paper's iterative toolflow (Figure 11): analyze,
-// mask the root-cause stores, re-analyze — because fixing a primary
-// violation (e.g. an overflow store whose cover reaches the watchdog)
-// removes the conservative downstream violations it induced — and arm the
-// watchdog bound once tainted control flow is confirmed. taskCycles is the
-// measured unprotected task length used for slice planning.
+// WithAnalysis applies what the repair toolflow (internal/repair, the
+// paper's Figure 11) found necessary on the unarmed system: the stores it
+// masked, plus the watchdog bound when its final analysis still sees
+// tainted control flow. taskCycles is the measured unprotected task length
+// used for slice planning.
 //
 // AlwaysOn masks every maskable task store and always arms the watchdog.
-func BuildProtected(b *Benchmark, v Variant, report *glift.Report, unmod *Built, taskCycles uint64) (*Built, error) {
-	off0, err := taskStmtOffset(unmod.Stmts)
-	if err != nil {
-		return nil, err
-	}
-
+func BuildProtected(b *Benchmark, v Variant, res *repair.Result, unmod *Built, taskCycles uint64) (*Built, error) {
+	flaggedLines := map[int]bool{}
+	armed := true
 	if v == AlwaysOn {
-		flaggedLines := map[int]bool{}
+		off0, err := taskStmtOffset(unmod.Stmts)
+		if err != nil {
+			return nil, err
+		}
 		for _, si := range transform.MaskableStoreIdxs(unmod.Stmts) {
 			if si >= off0 {
 				flaggedLines[unmod.Stmts[si].Line] = true
 			}
 		}
-		plan := transform.PlanWatchdog(taskCycles + 4*uint64(len(flaggedLines)))
-		return buildVariant(b, v, true, plan, flaggedLines)
-	}
-
-	if report == nil {
-		return nil, fmt.Errorf("bench: WithAnalysis requires a report")
-	}
-	flaggedLines := map[int]bool{}
-	armed := false
-	cur := unmod
-	rep := report
-	for round := 0; round < 8; round++ {
-		progress := false
-		for _, pc := range rep.ViolatingStorePCs() {
-			si, ok := cur.Img.AddrToStmt[pc]
-			if !ok {
-				continue
-			}
-			st := cur.Stmts[si]
-			if st.Line == 0 {
-				continue // an inserted mask instruction cannot be the root cause
-			}
-			if _, maskable := transform.MaskableStoreTarget(&st); !maskable {
-				continue // conservative downstream noise (e.g. port stores)
-			}
-			if !flaggedLines[st.Line] {
-				flaggedLines[st.Line] = true
-				progress = true
-			}
+	} else {
+		if res == nil {
+			return nil, fmt.Errorf("bench: WithAnalysis requires a repair result")
 		}
-		if rep.NeedsWatchdog() && !armed {
-			armed = true
-			progress = true
+		for _, line := range res.MaskedLines {
+			flaggedLines[line] = true
 		}
-		if !progress {
-			break
-		}
-		plan := transform.PlanWatchdog(taskCycles + 4*uint64(len(flaggedLines)))
-		cur, err = buildVariant(b, v, armed, plan, flaggedLines)
-		if err != nil {
-			return nil, err
-		}
-		rep, err = glift.Analyze(cur.Img, cur.Policy, nil)
-		if err != nil {
-			return nil, err
+		armed = res.Report.NeedsWatchdog()
+		if len(flaggedLines) == 0 && !armed {
+			// Nothing to fix: the protected variant is the unmodified program.
+			return &Built{
+				Bench: b, Variant: v, Stmts: unmod.Stmts, Img: unmod.Img,
+				Policy: unmod.Policy,
+			}, nil
 		}
 	}
-	if cur == unmod {
-		// Nothing to fix: the protected variant is the unmodified program.
-		return &Built{
-			Bench: b, Variant: v, Stmts: unmod.Stmts, Img: unmod.Img,
-			Policy: unmod.Policy,
-		}, nil
-	}
-	return cur, nil
+	plan := transform.PlanWatchdog(taskCycles + repair.MaskCyclesPerStore*uint64(len(flaggedLines)))
+	return buildVariant(b, v, armed, plan, flaggedLines)
 }

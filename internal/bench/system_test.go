@@ -23,8 +23,8 @@ func TestBuildUnmodifiedShared(t *testing.T) {
 	}
 }
 
-// TestScaffoldCacheIsolation: variant builds draw parsed scaffolds from a
-// cache but must never perturb it — a masked build followed by an unmasked
+// TestScaffoldCacheIsolation: variant builds must never perturb one another
+// or the shared unmodified system — a masked build followed by an unmasked
 // build of the same scaffold yields the original image.
 func TestScaffoldCacheIsolation(t *testing.T) {
 	b := ByName("inSort")

@@ -76,9 +76,7 @@ func runBatchChunk(ctx context.Context, img *asm.Image, maxCycles uint64, scenar
 	stuck := make([][]stuckLane, len(scenarios))
 	alive := uint64(0)
 	for lane, faults := range scenarios {
-		rom := bsys.LaneROM(lane)
-		img.Place(func(a, w uint16) { rom.StoreWord(a, sim.ConcreteWord(w)) })
-		rom.StoreWord(d.Map.ResetVec, sim.ConcreteWord(img.Entry))
+		bsys.LoadLaneImage(lane, img)
 		laneErr := func() error {
 			for _, f := range faults {
 				switch ft := f.(type) {
@@ -98,16 +96,9 @@ func runBatchChunk(ctx context.Context, img *asm.Image, maxCycles uint64, scenar
 					}
 					bsys.SetLanePortIn(lane, ft.Port, w)
 				case ROMCorrupt:
-					if !rom.Contains(ft.Addr) {
-						return fmt.Errorf("fault: %#04x is outside program memory", ft.Addr)
+					if err := ft.corrupt(bsys.LaneROM(lane)); err != nil {
+						return err
 					}
-					w := rom.LoadWord(ft.Addr)
-					w.Val ^= ft.Xor
-					w.XM |= ft.MakeX
-					if ft.Taint {
-						w.TT = 0xffff
-					}
-					rom.StoreWord(ft.Addr, w)
 				default:
 					return fmt.Errorf("fault: %s cannot run batched", f.Describe())
 				}

@@ -171,17 +171,21 @@ func (f ROMCorrupt) Describe() string {
 func (f ROMCorrupt) rewritesNetlist() bool           { return false }
 func (f ROMCorrupt) applyDesign(d *mcu.Design) error { return nil }
 
-func (f ROMCorrupt) applySystem(sys *mcu.System) error {
-	if !sys.ROM.Contains(f.Addr) {
+func (f ROMCorrupt) applySystem(sys *mcu.System) error { return f.corrupt(sys.ROM) }
+
+// corrupt applies the fault to one program memory (a System's or a batch
+// lane's).
+func (f ROMCorrupt) corrupt(rom *sim.TaintMem) error {
+	if !rom.Contains(f.Addr) {
 		return fmt.Errorf("fault: %#04x is outside program memory", f.Addr)
 	}
-	w := sys.ROM.LoadWord(f.Addr)
+	w := rom.LoadWord(f.Addr)
 	w.Val ^= f.Xor
 	w.XM |= f.MakeX
 	if f.Taint {
 		w.TT = 0xffff
 	}
-	sys.ROM.StoreWord(f.Addr, w)
+	rom.StoreWord(f.Addr, w)
 	return nil
 }
 
@@ -253,38 +257,16 @@ func Run(ctx context.Context, img *asm.Image, maxCycles uint64, faults ...Fault)
 	if err != nil {
 		return 0, err
 	}
-	img.Place(func(a, w uint16) { sys.ROM.StoreWord(a, sim.ConcreteWord(w)) })
-	sys.SetResetVector(img.Entry)
+	sys.LoadImage(img)
 	for _, f := range faults {
 		if err := f.applySystem(sys); err != nil {
 			return 0, err
 		}
 	}
 	sys.PowerOn()
-
-	var lastPC uint32 = 1 << 20
-	samePC := 0
-	start := sys.Cycle
-	for sys.Cycle-start < maxCycles {
-		if sys.Cycle&1023 == 0 && ctx.Err() != nil {
-			return sys.Cycle - start, fmt.Errorf("fault: concrete run cancelled at cycle %d: %w", sys.Cycle, ctx.Err())
-		}
-		ci := sys.EvalCycle(nil)
-		if !ci.PmemOK {
-			return sys.Cycle - start, fmt.Errorf("fault: pc became unknown at cycle %d", sys.Cycle)
-		}
-		if ci.StateOK && ci.State == mcu.StFetch {
-			if uint32(ci.PmemAddr) == lastPC {
-				samePC++
-				if samePC >= 2 {
-					return sys.Cycle - start, nil // parked on jmp $
-				}
-			} else {
-				samePC = 0
-			}
-			lastPC = uint32(ci.PmemAddr)
-		}
-		sys.Commit(ci)
+	cycles, err := sys.RunToCompletion(ctx, maxCycles)
+	if err != nil {
+		err = fmt.Errorf("fault: %w", err)
 	}
-	return sys.Cycle - start, fmt.Errorf("fault: did not terminate in %d cycles", maxCycles)
+	return cycles, err
 }

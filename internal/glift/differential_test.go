@@ -7,11 +7,17 @@ package glift_test
 // enforces it the strong way — every scaffold benchmark is analyzed under a
 // sweep of (backend, workers) configurations and every report must
 // serialize byte-identically to the reference (interpreter, sequential)
-// once the wall-time field (the one documented exception) is zeroed.
+// once the wall-time field (the one documented exception) is zeroed. The
+// reference bytes are pinned by the golden digests, so the reference run
+// happens once per benchmark in TestGoldenReportDigests, not once per test.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -74,12 +80,64 @@ func analyzeConfig(t *testing.T, bt *bench.Built, c analysisConfig) *glift.Repor
 	return rep
 }
 
+// goldenDigests reads the committed interp/1 report digests that
+// TestGoldenReportDigests pins, keyed by benchmark name.
+func goldenDigests(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("read golden digests: %v", err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("parse %s: %v", goldenPath, err)
+	}
+	return want
+}
+
+// checkAgainstReference compares a report with the committed digest of the
+// reference configuration's report for the same benchmark. Only on a
+// mismatch does it run the reference itself, and then the weaker checks
+// (verdict, order-normalized violation set, conservative-table size) run
+// before the full byte comparison to localize the difference.
+func checkAgainstReference(t *testing.T, bt *bench.Built, c analysisConfig, got *glift.Report, digest string) {
+	t.Helper()
+	gotJSON := normalizedReportJSON(t, got)
+	if sum := sha256.Sum256(gotJSON); hex.EncodeToString(sum[:]) == digest {
+		return
+	}
+	ref := analyzeConfig(t, bt, refConfig)
+	if rv, gv := ref.Verdict(), got.Verdict(); rv != gv {
+		t.Errorf("%s: verdict mismatch: %s %v, %s %v", c, refConfig, rv, c, gv)
+	}
+	rvs, gvs := violationSet(ref), violationSet(got)
+	if len(rvs) != len(gvs) {
+		t.Errorf("%s: violation count mismatch: %s %d, %s %d", c, refConfig, len(rvs), c, len(gvs))
+	} else {
+		for i := range rvs {
+			if rvs[i] != gvs[i] {
+				t.Errorf("%s: violation set mismatch at %d:\n  %s: %s\n  %s: %s", c, i, refConfig, rvs[i], c, gvs[i])
+			}
+		}
+	}
+	if rt, gt := ref.Stats.TableStates, got.Stats.TableStates; rt != gt {
+		t.Errorf("%s: table size mismatch: %s %d, %s %d", c, refConfig, rt, c, gt)
+	}
+	if refJSON := normalizedReportJSON(t, ref); string(refJSON) != string(gotJSON) {
+		t.Errorf("%s: report differs beyond wall time:\n--- %s ---\n%s\n--- %s ---\n%s",
+			c, refConfig, refJSON, c, gotJSON)
+	} else {
+		t.Errorf("%s: report equals %s's but not its committed digest (see TestGoldenReportDigests)", c, refConfig)
+	}
+}
+
 // TestDifferentialScaffoldBenchmarks runs every scaffold benchmark under the
-// full (backend, workers) sweep and asserts identical verdicts,
-// order-normalized violation sets, conservative-table sizes, and finally
-// byte-identical reports modulo wall time (which subsumes the weaker checks;
-// they run first only to localize a failure).
+// sweep configurations and asserts each report is byte-identical, modulo
+// wall time, to the reference's. The reference bytes are the committed
+// digests, which TestGoldenReportDigests recomputes from a reference run,
+// so the reference only runs here to explain a mismatch.
 func TestDifferentialScaffoldBenchmarks(t *testing.T) {
+	want := goldenDigests(t)
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -88,33 +146,8 @@ func TestDifferentialScaffoldBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			ref := analyzeConfig(t, bt, refConfig)
-			refJSON := normalizedReportJSON(t, ref)
 			for _, c := range sweepConfigs {
-				got := analyzeConfig(t, bt, c)
-
-				if rv, gv := ref.Verdict(), got.Verdict(); rv != gv {
-					t.Errorf("%s: verdict mismatch: %s %v, %s %v", c, refConfig, rv, c, gv)
-				}
-				rvs, gvs := violationSet(ref), violationSet(got)
-				if len(rvs) != len(gvs) {
-					t.Errorf("%s: violation count mismatch: %s %d, %s %d", c, refConfig, len(rvs), c, len(gvs))
-				} else {
-					for i := range rvs {
-						if rvs[i] != gvs[i] {
-							t.Errorf("%s: violation set mismatch at %d:\n  %s: %s\n  %s: %s", c, i, refConfig, rvs[i], c, gvs[i])
-						}
-					}
-				}
-				if rt, gt := ref.Stats.TableStates, got.Stats.TableStates; rt != gt {
-					t.Errorf("%s: table size mismatch: %s %d, %s %d", c, refConfig, rt, c, gt)
-				}
-
-				gotJSON := normalizedReportJSON(t, got)
-				if string(refJSON) != string(gotJSON) {
-					t.Errorf("%s: report differs beyond wall time:\n--- %s ---\n%s\n--- %s ---\n%s",
-						c, refConfig, refJSON, c, gotJSON)
-				}
+				checkAgainstReference(t, bt, c, analyzeConfig(t, bt, c), want[b.Name])
 			}
 		})
 	}
@@ -122,20 +155,24 @@ func TestDifferentialScaffoldBenchmarks(t *testing.T) {
 
 // TestDifferentialWorkerSweep covers worker counts beyond the canonical
 // 1-vs-4 pair on a fork-heavy benchmark, including pools larger than the
-// path count, on both backends.
+// path count, on both backends. Counts are capped at GOMAXPROCS, so each
+// distinct effective count runs once.
 func TestDifferentialWorkerSweep(t *testing.T) {
 	bt, err := bench.BuildUnmodified(bench.ByName("binSearch"))
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	want := normalizedReportJSON(t, analyzeConfig(t, bt, refConfig))
+	want := goldenDigests(t)["binSearch"]
 	for _, be := range sim.Backends() {
+		ran := map[int]bool{}
 		for _, w := range []int{2, 3, 8} {
-			c := analysisConfig{backend: be, workers: w}
-			got := normalizedReportJSON(t, analyzeConfig(t, bt, c))
-			if string(got) != string(want) {
-				t.Errorf("%s report differs from %s:\n%s\nvs\n%s", c, refConfig, got, want)
+			eff := min(w, runtime.GOMAXPROCS(0))
+			if ran[eff] {
+				continue
 			}
+			ran[eff] = true
+			c := analysisConfig{backend: be, workers: w}
+			checkAgainstReference(t, bt, c, analyzeConfig(t, bt, c), want)
 		}
 	}
 }

@@ -188,9 +188,6 @@ type Engine struct {
 	snapBytes int64
 }
 
-// CurInstr returns the instruction address currently executing (diagnostics).
-func (e *Engine) CurInstr() uint16 { return e.curInstr }
-
 // SetTrace installs a per-cycle observer after construction.
 func (e *Engine) SetTrace(f func(e *Engine, ci *mcu.CycleInfo)) { e.opt.Trace = f }
 
@@ -246,8 +243,7 @@ func buildSystem(d *mcu.Design, img *asm.Image, pol *Policy, backend sim.Backend
 	// and cascade into spurious violations. A trapped candidate parks and
 	// is pruned.
 	d.FillTraps(func(a, w uint16) { sys.ROM.StoreWord(a, sim.ConcreteWord(w)) })
-	img.Place(func(a, w uint16) { sys.ROM.StoreWord(a, sim.ConcreteWord(w)) })
-	sys.SetResetVector(img.Entry)
+	sys.LoadImage(img)
 	if pol.TaintCodeWords {
 		for _, r := range pol.TaintedCode {
 			sys.TaintCode(r.Lo, r.Hi)

@@ -1,9 +1,9 @@
 package mcu
 
 import (
-	"fmt"
 	"math/bits"
 
+	"repro/internal/asm"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -11,7 +11,7 @@ import (
 
 // BatchSystem drives up to 64 independent machine contexts over one
 // bitsliced backend: every lane has its own behavioural memories, port
-// inputs, reset line and event log, while the gate-level state advances in
+// inputs and reset line, while the gate-level state advances in
 // lockstep through shared word-parallel Evals. The per-cycle protocol is
 // System's, vectorized: EvalCycle runs the same three passes with per-lane
 // memory feedback (fetch, load dispatch), CommitLanes applies per-lane
@@ -31,7 +31,6 @@ type BatchSystem struct {
 	ram          []*sim.TaintMem
 	rst          []logic.Sig
 	portIn       [][NumPorts]sim.Word
-	events       [][]string
 	mem          []memIO
 	portsApplied bool
 	cis          []CycleInfo
@@ -53,7 +52,6 @@ func NewBatchSystem(d *Design, lanes int) (*BatchSystem, error) {
 		ram:    make([]*sim.TaintMem, lanes),
 		rst:    make([]logic.Sig, lanes),
 		portIn: make([][NumPorts]sim.Word, lanes),
-		events: make([][]string, lanes),
 		mem:    make([]memIO, lanes),
 		cis:    make([]CycleInfo, lanes),
 	}
@@ -71,13 +69,11 @@ func NewBatchSystem(d *Design, lanes int) (*BatchSystem, error) {
 
 func (b *BatchSystem) laneMemIO(lane int) memIO {
 	return memIO{
-		d:   b.D,
-		rom: b.rom[lane],
-		ram: b.ram[lane],
-		get: func(nets []netlist.NetID) sim.Word { return b.B.GetLaneWord(lane, nets) },
-		logf: func(format string, args ...interface{}) {
-			b.events[lane] = append(b.events[lane], fmt.Sprintf("cycle %d: ", b.Cycle)+fmt.Sprintf(format, args...))
-		},
+		d:    b.D,
+		rom:  b.rom[lane],
+		ram:  b.ram[lane],
+		get:  func(nets []netlist.NetID) sim.Word { return b.B.GetLaneWord(lane, nets) },
+		logf: func(string, ...interface{}) {}, // lanes keep no event log
 	}
 }
 
@@ -87,28 +83,19 @@ func (b *BatchSystem) Lanes() int { return b.lanes }
 // LaneMask returns the mask with every configured lane set.
 func (b *BatchSystem) LaneMask() uint64 { return b.B.LaneMask() }
 
-// LaneROM returns one lane's program memory, for per-lane image placement
-// and fault corruption.
+// LaneROM returns one lane's program memory, for fault corruption.
 func (b *BatchSystem) LaneROM(lane int) *sim.TaintMem { return b.rom[lane] }
 
-// LaneRAM returns one lane's data memory.
-func (b *BatchSystem) LaneRAM(lane int) *sim.TaintMem { return b.ram[lane] }
+// LoadLaneImage is System.LoadImage for one lane.
+func (b *BatchSystem) LoadLaneImage(lane int, img *asm.Image) {
+	loadImage(b.rom[lane], b.D.Map.ResetVec, img)
+}
 
 // SetLanePortIn presents a value on one lane's input port i. The value
 // persists across cycles (and power-on) until changed.
 func (b *BatchSystem) SetLanePortIn(lane, i int, w sim.Word) {
 	b.portIn[lane][i] = w
 	b.portsApplied = false
-}
-
-// SetLaneRst drives one lane's external reset on subsequent cycles.
-func (b *BatchSystem) SetLaneRst(lane int, sig logic.Sig) { b.rst[lane] = sig }
-
-// LaneEvents drains one lane's unusual-access log.
-func (b *BatchSystem) LaneEvents(lane int) []string {
-	e := b.events[lane]
-	b.events[lane] = nil
-	return e
 }
 
 // applyPorts drives every lane's port-input nets. Port inputs are

@@ -1,9 +1,11 @@
 package mcu
 
 import (
+	"context"
 	"fmt"
 	"io"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -82,11 +84,13 @@ func (s *System) logf(format string, args ...interface{}) {
 	s.events = append(s.events, fmt.Sprintf("cycle %d: ", s.Cycle)+fmt.Sprintf(format, args...))
 }
 
-// LoadProgram writes machine words into program memory, untainted.
-func (s *System) LoadProgram(addr uint16, words []uint16) {
-	for i, w := range words {
-		s.ROM.StoreWord(addr+uint16(2*i), sim.ConcreteWord(w))
-	}
+// LoadImage places an assembled image in program memory, untainted, and
+// points the reset vector at its entry.
+func (s *System) LoadImage(img *asm.Image) { loadImage(s.ROM, s.D.Map.ResetVec, img) }
+
+func loadImage(rom *sim.TaintMem, resetVec uint16, img *asm.Image) {
+	img.Place(func(a, w uint16) { rom.StoreWord(a, sim.ConcreteWord(w)) })
+	rom.StoreWord(resetVec, sim.ConcreteWord(img.Entry))
 }
 
 // SetResetVector points the reset vector at entry.
@@ -254,13 +258,17 @@ func (s *System) PowerOn() {
 }
 
 // RunToCompletion steps until the PC parks on a self-jump ("jmp $") or
-// maxCycles elapses, returning the cycle count consumed after power-on.
-// It is the harness for concrete performance runs.
-func (s *System) RunToCompletion(maxCycles uint64) (uint64, error) {
+// maxCycles elapses, returning the cycle count consumed. An unknown PC, an
+// exhausted budget or a cancelled ctx (checked every 1024 cycles) ends the
+// run with an error.
+func (s *System) RunToCompletion(ctx context.Context, maxCycles uint64) (uint64, error) {
 	start := s.Cycle
 	var lastPC uint64 = 1 << 20
 	samePC := 0
 	for s.Cycle-start < maxCycles {
+		if s.Cycle&1023 == 0 && ctx.Err() != nil {
+			return s.Cycle - start, fmt.Errorf("concrete run cancelled at cycle %d: %w", s.Cycle, ctx.Err())
+		}
 		ci := s.EvalCycle(nil)
 		if !ci.PmemOK {
 			return s.Cycle - start, fmt.Errorf("pc became unknown at cycle %d", s.Cycle)

@@ -1,6 +1,7 @@
 package mcu
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -40,8 +41,7 @@ func loadConcrete(t *testing.T, s *System, img *asm.Image) {
 	t.Helper()
 	zeros := make([]byte, s.RAM.Size())
 	s.RAM.Fill(s.RAM.Base(), zeros)
-	img.Place(func(a, w uint16) { s.ROM.StoreWord(a, sim.ConcreteWord(w)) })
-	s.SetResetVector(img.Entry)
+	s.LoadImage(img)
 }
 
 // refMachine builds the interpreter twin for the same image.
@@ -352,7 +352,7 @@ done:   jmp done
 	s := newTestSystem(t)
 	loadConcrete(t, s, img)
 	s.PowerOn()
-	cycles, err := s.RunToCompletion(10000)
+	cycles, err := s.RunToCompletion(context.Background(), 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ halt:   jmp halt
 	s := newTestSystem(t)
 	loadConcrete(t, s, img)
 	s.PowerOn()
-	if _, err := s.RunToCompletion(1000); err != nil {
+	if _, err := s.RunToCompletion(context.Background(), 1000); err != nil {
 		t.Fatal(err)
 	}
 	if w := s.RAM.LoadWord(0x0310); w.Val != 2 {
@@ -439,7 +439,7 @@ done:   jmp done
 	s := newTestSystem(t)
 	loadConcrete(t, s, img)
 	s.PowerOn()
-	if _, err := s.RunToCompletion(100); err != nil {
+	if _, err := s.RunToCompletion(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	s.EvalCycle(nil)
@@ -464,7 +464,7 @@ done:   jmp done
 	loadConcrete(t, s, img)
 	s.SetPortIn(0, sim.ConcreteWord(0x5678))
 	s.PowerOn()
-	if _, err := s.RunToCompletion(100); err != nil {
+	if _, err := s.RunToCompletion(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	s.EvalCycle(nil)
@@ -610,7 +610,7 @@ done:   jmp done
 	s := newTestSystem(t)
 	loadConcrete(t, s, img)
 	s.PowerOn()
-	if _, err := s.RunToCompletion(100); err != nil {
+	if _, err := s.RunToCompletion(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	evs := s.Events()

@@ -19,12 +19,7 @@ done:   jmp done
 		t.Fatal(err)
 	}
 	s := newTestSystem(t)
-	// Exercise LoadProgram/SetResetVector directly (the low-level loading
-	// path used by external images).
-	for _, seg := range img.Segments {
-		s.LoadProgram(seg.Addr, seg.Words)
-	}
-	s.SetResetVector(img.Entry)
+	s.LoadImage(img)
 	s.TaintCode(img.Entry, img.Entry+2) // label the first instruction
 
 	var buf bytes.Buffer

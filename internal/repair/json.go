@@ -75,19 +75,25 @@ func (r *Result) JSON() ResultJSON {
 		Report:          r.Report.JSON(),
 	}
 	for _, rr := range r.Rounds {
-		out.Rounds = append(out.Rounds, RoundJSON{
-			Round:             rr.Round,
-			MaskedStores:      rr.MaskedStores,
-			Violations:        rr.Violations,
-			ViolatingStorePCs: rr.ViolatingPCs,
-			NewlyFlagged:      rr.NewlyFlagged,
-			Verdict:           rr.Verdict.String(),
-		})
+		out.Rounds = append(out.Rounds, rr.JSON())
 	}
 	for _, um := range r.Unmaskable {
 		out.Unmaskable = append(out.Unmaskable, UnmaskableJSON{Line: um.Line, Text: um.Text})
 	}
 	return out
+}
+
+// JSON converts one round record to its wire shape — the element of
+// ResultJSON.Rounds and the body of gliftd's round stream events.
+func (r *Round) JSON() RoundJSON {
+	return RoundJSON{
+		Round:             r.Round,
+		MaskedStores:      r.MaskedStores,
+		Violations:        r.Violations,
+		ViolatingStorePCs: r.ViolatingPCs,
+		NewlyFlagged:      r.NewlyFlagged,
+		Verdict:           r.Verdict.String(),
+	}
 }
 
 // Validate cross-checks a decoded wire result the way ReportJSON.Report

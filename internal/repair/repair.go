@@ -5,9 +5,10 @@
 // those stores, reassemble, and re-verify — repeating because fixing a
 // primary violation removes the conservative violations it induced — until
 // the analysis stops reporting maskable escapes or the round budget runs
-// out. The cmd/secure430 CLI and the gliftd repair-job mode both run
-// exactly this loop, so their patched assembly is byte-identical for
-// identical inputs by construction.
+// out. Three callers run exactly this loop: the cmd/secure430 CLI, the
+// gliftd repair-job mode (so their patched assembly is byte-identical for
+// identical inputs by construction), and bench.EvaluateContext, which
+// derives the paper's Tables 2 and 3 from it.
 //
 // Alongside the patched program the loop reports the paper's headline
 // comparison (Table 3): the overhead of the targeted protections the
@@ -98,8 +99,9 @@ type Round struct {
 	NewlyFlagged int
 	// Verdict is this round's analysis verdict.
 	Verdict glift.Verdict
-	// Stats are this round's exploration statistics.
-	Stats glift.Stats
+	// Report is this round's full analysis report; round 0's is the
+	// unpatched program's.
+	Report *glift.Report
 	// Unmaskable lists stores the analysis flagged that cannot be masked
 	// (not register-indexed stores); they need a source change (Footnote 6).
 	Unmaskable []Unmaskable
@@ -141,6 +143,9 @@ type Result struct {
 	Report *glift.Report
 	// Rounds records every iteration in order.
 	Rounds []Round
+	// MaskedLines are the source lines of the stores masked in Stmts, in
+	// ascending order.
+	MaskedLines []int
 	// Unmaskable aggregates the flagged-but-unmaskable stores across all
 	// rounds, deduplicated by source line in first-seen order.
 	Unmaskable []Unmaskable
@@ -219,9 +224,11 @@ func Run(ctx context.Context, spec *Spec) (*Result, error) {
 			return nil, err
 		}
 		flagged := map[int]bool{}
+		var lines []int
 		for i := range stmts {
 			if flaggedLines[stmts[i].Line] {
 				flagged[i] = true
+				lines = append(lines, stmts[i].Line)
 			}
 		}
 		masked := 0
@@ -261,9 +268,9 @@ func Run(ctx context.Context, spec *Spec) (*Result, error) {
 			Violations:   len(rep.Violations),
 			ViolatingPCs: len(pcs),
 			Verdict:      rep.Verdict(),
-			Stats:        rep.Stats,
+			Report:       rep,
 		}
-		finalStmts, maskedFinal = stmts, masked
+		finalStmts, maskedFinal, res.MaskedLines = stmts, masked, lines
 		if v := rr.Verdict; v == glift.Incomplete || v == glift.InternalError {
 			// A truncated or crashed analysis proves nothing: repairing
 			// against its violation list would be guesswork, so stop here

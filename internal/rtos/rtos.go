@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"repro/internal/asm"
+	"repro/internal/bench"
 	"repro/internal/glift"
 	"repro/internal/mcu"
 	"repro/internal/sim"
@@ -211,20 +212,14 @@ func (s *System) MeasureRound(seed uint16, maxCycles uint64) (uint64, error) {
 	}
 	zeros := make([]byte, sys.RAM.Size())
 	sys.RAM.Fill(sys.RAM.Base(), zeros)
-	s.Img.Place(func(a, w uint16) { sys.ROM.StoreWord(a, sim.ConcreteWord(w)) })
-	sys.SetResetVector(s.Img.Entry)
+	sys.LoadImage(s.Img)
 
 	sched := s.Img.MustSymbol("sched")
-	rng := uint16(seed | 1)
-	next := func() uint16 {
-		bit := (rng>>0 ^ rng>>2 ^ rng>>3 ^ rng>>5) & 1
-		rng = rng>>1 | bit<<15
-		return rng
-	}
+	rng := bench.LFSR(seed | 1)
 	sys.PowerOn()
 	var marks []uint64
 	for sys.Cycle < maxCycles && len(marks) < 3 {
-		sys.SetPortIn(0, sim.ConcreteWord(next()))
+		sys.SetPortIn(0, sim.ConcreteWord(rng.Next()))
 		ci := sys.EvalCycle(nil)
 		if !ci.PmemOK {
 			return 0, fmt.Errorf("rtos: PC unknown at cycle %d", sys.Cycle)

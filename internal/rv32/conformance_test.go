@@ -10,7 +10,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/logic"
 	"repro/internal/mcu"
-	"repro/internal/sim"
 	"repro/internal/synth"
 )
 
@@ -52,8 +51,7 @@ func newConformanceSystem(t *testing.T, img *asm.Image) *mcu.System {
 	}
 	zeros := make([]byte, s.RAM.Size())
 	s.RAM.Fill(s.RAM.Base(), zeros)
-	img.Place(func(a, w uint16) { s.ROM.StoreWord(a, sim.ConcreteWord(w)) })
-	s.SetResetVector(img.Entry)
+	s.LoadImage(img)
 	return s
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/glift"
 	"repro/internal/obs"
+	"repro/internal/repair"
 )
 
 // Live job telemetry: every job owns a broker topic (keyed by job ID) that
@@ -71,15 +72,11 @@ type TraceEventJSON struct {
 }
 
 // RoundEventJSON is the payload of a `round` event: one completed repair
-// round, mirroring the per-round line secure430 prints.
+// round, mirroring the per-round line secure430 prints. The round fields
+// are the repair result's own RoundJSON, so the two cannot drift apart.
 type RoundEventJSON struct {
-	ID                string `json:"id"`
-	Round             int    `json:"round"`
-	MaskedStores      int    `json:"masked_stores"`
-	Violations        int    `json:"violations"`
-	ViolatingStorePCs int    `json:"violating_store_pcs"`
-	NewlyFlagged      int    `json:"newly_flagged"`
-	Verdict           string `json:"verdict"`
+	ID string `json:"id"`
+	repair.RoundJSON
 }
 
 // GapEventJSON is the payload of a `gap` event.

@@ -114,15 +114,7 @@ func (s *Server) runRepair(ctx context.Context, j *job, opt *glift.Options) *cac
 	spec.RoundProgress = func(int) func(glift.Progress) { return s.progressHook(j) }
 	spec.OnRound = func(rr repair.Round) {
 		s.prom.repairRounds.Inc()
-		s.publish(j.id, EventRound, RoundEventJSON{
-			ID:                j.id,
-			Round:             rr.Round,
-			MaskedStores:      rr.MaskedStores,
-			Violations:        rr.Violations,
-			ViolatingStorePCs: rr.ViolatingPCs,
-			NewlyFlagged:      rr.NewlyFlagged,
-			Verdict:           rr.Verdict.String(),
-		})
+		s.publish(j.id, EventRound, RoundEventJSON{ID: j.id, RoundJSON: rr.JSON()})
 	}
 	defer s.prom.repairJobs.Inc()
 	res, err := repair.Run(ctx, &spec)

@@ -82,20 +82,13 @@ func (k BackendKind) String() string {
 }
 
 // BackendNames lists the registered backend names in registry order — the
-// valid values for every -backend flag.
+// valid values ParseBackend accepts.
 func BackendNames() []string {
 	names := make([]string, len(backendRegistry))
 	for i, e := range backendRegistry {
 		names[i] = e.name
 	}
 	return names
-}
-
-// BackendHelp renders the registered backend names for flag help, with the
-// registry's first entry marked as the default.
-func BackendHelp() string {
-	names := BackendNames()
-	return names[0] + " (default), " + strings.Join(names[1:], ", ")
 }
 
 // ParseBackend resolves a backend name from the registry: empty selects the

@@ -37,9 +37,6 @@ func (b *BatchBackend) Lanes() int { return b.c.lanes }
 // LaneMask returns the mask with every configured lane set.
 func (b *BatchBackend) LaneMask() uint64 { return b.c.laneMask }
 
-// Active returns the current active-lane mask.
-func (b *BatchBackend) Active() uint64 { return b.c.active & b.c.laneMask }
-
 // SetActive installs the active-lane retirement mask: only active lanes
 // accrue toggle counts from Clock.
 func (b *BatchBackend) SetActive(mask uint64) { b.c.active = mask & b.c.laneMask }

@@ -432,15 +432,6 @@ func (s *Store) Bytes() int64 {
 	return s.bytes
 }
 
-// Keys returns the indexed keys in eviction order (oldest first).
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
 // Stats snapshots the activity counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -278,9 +278,8 @@ func (b *Builder) Decode(sel Word) []netlist.NetID {
 	return out
 }
 
-// OrReduce ORs all bits of a word. AndReduce ANDs them.
-func (b *Builder) OrReduce(w Word) netlist.NetID  { return b.OrN(w...) }
-func (b *Builder) AndReduce(w Word) netlist.NetID { return b.AndN(w...) }
+// OrReduce ORs all bits of a word.
+func (b *Builder) OrReduce(w Word) netlist.NetID { return b.OrN(w...) }
 
 // IsZero is high when every bit of w is 0.
 func (b *Builder) IsZero(w Word) netlist.NetID { return b.Not(b.OrReduce(w)) }
@@ -322,15 +321,6 @@ func (b *Builder) Drive(target, source Word) {
 // DriveBit connects a single undriven named net to a source.
 func (b *Builder) DriveBit(target, source netlist.NetID) {
 	b.N.AddGate(logic.Buf, target, source)
-}
-
-// Repl replicates one net into an n-bit word.
-func (b *Builder) Repl(bit netlist.NetID, n int) Word {
-	w := make(Word, n)
-	for i := range w {
-		w[i] = bit
-	}
-	return w
 }
 
 // ZeroExtend widens w to width bits with constant zeros (pure wiring).
